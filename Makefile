@@ -4,7 +4,7 @@ GO      ?= go
 BIN     ?= bin
 VETTOOL := $(BIN)/mdrep-lint
 
-.PHONY: all build test race chaos walk obs flight sim shard lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
+.PHONY: all build test race chaos walk obs flight sim shard e2e lint lint-allow lint-fix vet fmt bench bench-json bench-gate clean
 
 all: build lint test
 
@@ -108,9 +108,10 @@ sim:
 
 # shard runs the sharded-engine invariance suite under the race
 # detector twice over: shard-count invariance (K ∈ {1,2,8} must be
-# bit-identical to the unsharded engine), the concurrent hammer at K=8,
-# per-shard journal recovery including truncation at every byte offset,
-# and the cross-facade parity tests at the mdrep and massim layers.
+# bit-identical to the unsharded engine), the concurrent hammer at K=1
+# and K=8, per-shard journal recovery including truncation at every
+# byte offset, and the shard-count parity tests at the mdrep and massim
+# layers.
 shard:
 	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards' \
 		mdrep mdrep/internal/core mdrep/internal/journal \
@@ -124,6 +125,15 @@ shard:
 walk:
 	$(GO) test -race -count=2 mdrep/internal/walk
 
+# e2e vets and self-tests the end-to-end benchmark module. e2ebench/ is
+# its own module (replace mdrep => ../), so `go build ./...` at the root
+# never compiles it: an API it calls can vanish without any other target
+# noticing. The env is e2ebench/run.sh's offline one.
+E2E_ENV := GOPROXY=off GOFLAGS=-mod=mod GOTOOLCHAIN=local
+
+e2e:
+	cd e2ebench && $(E2E_ENV) $(GO) vet ./... && $(E2E_ENV) $(GO) test ./...
+
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
@@ -136,7 +146,7 @@ bench:
 # run down, so min-of-N damps the noise a single long run cannot.
 # Five repeats, not three: fsync-bound and sub-microsecond benchmarks
 # still flapped past the 15% gate run-to-run at min-of-3 on 1-CPU hosts.
-BENCH_LIST := BenchmarkTrustMatrixBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate
+BENCH_LIST := BenchmarkTrustMatrixFullBuild|BenchmarkReputationQuery|BenchmarkFileJudgement|BenchmarkSparseMatMul|BenchmarkRMPowParallel|BenchmarkBuildTMIncremental|BenchmarkJournalAppend|BenchmarkRecovery|BenchmarkSystemIngest|BenchmarkSystemJudge|BenchmarkDHTLookup|BenchmarkMassimStep|BenchmarkMassimEpoch|BenchmarkShardedApplyBatch|BenchmarkShardedRebuild|BenchmarkWalkEstimate
 BENCH_COUNT := 5
 BENCH_TIME  := 0.5s
 

@@ -28,9 +28,9 @@ import (
 // when builds happened in the original run.
 //
 // The Engine itself is not safe for concurrent use — even read-looking
-// calls like Reputations patch the caches. Wrap it in Concurrent to share
-// it: events take the write lock while reputation queries share the read
-// lock against the frozen CSR snapshot.
+// calls like Reputations patch the caches. Share it through Sharded
+// (NewSharded with k = 1 for one shard): events take their owner shard's
+// lock while reputation queries walk the frozen CSR snapshot lock-free.
 type Engine struct {
 	cfg    Config
 	n      int
@@ -414,11 +414,7 @@ func (e *Engine) refreshFM(now time.Duration) bool {
 	if !e.fm.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyFM.Add(e.dirtyCount(&e.fm))
-		sp = e.obs.tracer.Start(e.obs.buildFM)
-	}
+	sp := e.obs.spanBuild(dimFM, e.dirtyCount(&e.fm))
 	memo := make(map[eval.FileID]*fileEvaluators)
 	changed := e.refresh(&e.fm, func(i int) map[int]float64 { return e.fmRow(i, now, memo) })
 	sp.End()
@@ -429,11 +425,7 @@ func (e *Engine) refreshDM(now time.Duration) bool {
 	if !e.dm.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyDM.Add(e.dirtyCount(&e.dm))
-		sp = e.obs.tracer.Start(e.obs.buildDM)
-	}
+	sp := e.obs.spanBuild(dimDM, e.dirtyCount(&e.dm))
 	changed := e.refresh(&e.dm, func(i int) map[int]float64 { return e.dmRow(i, now) })
 	sp.End()
 	return changed
@@ -443,11 +435,7 @@ func (e *Engine) refreshUM() bool {
 	if !e.um.stale() {
 		return false
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		e.obs.dirtyUM.Add(e.dirtyCount(&e.um))
-		sp = e.obs.tracer.Start(e.obs.buildUM)
-	}
+	sp := e.obs.spanBuild(dimUM, e.dirtyCount(&e.um))
 	changed := e.refresh(&e.um, func(i int) map[int]float64 { return e.umRow(i) })
 	sp.End()
 	return changed
@@ -540,10 +528,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 	e.refreshUM()
 	src := [3]*sparse.CSR{e.fm.frozen, e.dm.frozen, e.um.frozen}
 	if e.tm == nil || src != e.tmSrc {
-		var sp obs.Span
-		if e.obs != nil {
-			sp = e.obs.tracer.Start(e.obs.refreeze)
-		}
+		sp := e.obs.spanRefreeze()
 		tm, err := sparse.WeightedSum(e.n, []sparse.Weighted{
 			{Scale: e.cfg.Alpha, M: e.fm.frozen},
 			{Scale: e.cfg.Beta, M: e.dm.frozen},
@@ -556,9 +541,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 		e.tmSrc = src
 		e.epoch++
 		sp.End()
-		if e.obs != nil {
-			e.obs.refreezes.Inc()
-		}
+		e.obs.countRefreeze()
 	}
 	return e.tm, nil
 }
@@ -578,7 +561,7 @@ func (e *Engine) InvalidateCaches() {
 // CachedTM returns the frozen TM for time now without rebuilding, if the
 // cache is current: no dirty rows, and either the build time matches or
 // nothing can expire (Window == 0 makes the matrices independent of the
-// clock). Concurrent's read path uses this under the shared lock.
+// clock).
 func (e *Engine) CachedTM(now time.Duration) (*sparse.CSR, bool) {
 	if e.tm == nil || e.fm.stale() || e.dm.stale() || e.um.stale() {
 		return nil, false

@@ -157,10 +157,10 @@ func (e *Engine) ApplyEvent(ev Event) error {
 }
 
 // applyTo applies one event, reporting cache invalidations through mark
-// instead of the engine's own dimension caches. It is the shared
-// mutation path under both facades: the unsharded Engine passes markDim;
-// core.Sharded passes a marker that routes each row to its owning
-// shard's dirty tracker. Evidence mutations only ever touch the acting
+// instead of the engine's own dimension caches. It is the mutation path
+// shared by the bare Engine, which passes markDim, and core.Sharded,
+// which passes a marker that routes each row to its owning shard's
+// dirty tracker. Evidence mutations only ever touch the acting
 // peer's own rows (stores[I], downloads[I], userTrust[I], blacklist[I])
 // plus the stripe-locked evaluator index, which is what lets shards
 // apply disjoint owners' events concurrently.

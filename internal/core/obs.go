@@ -14,18 +14,13 @@ import (
 type EngineObs struct {
 	tracer *obs.Tracer
 
-	buildFM *metrics.Histogram // engine_build_seconds{dim=...}
-	buildDM *metrics.Histogram
-	buildUM *metrics.Histogram
-	buildRM *metrics.Histogram
-	repWalk *metrics.Histogram // Reputations row-walk latency
+	build   [3]*metrics.Histogram // engine_build_seconds{dim=fm|dm|um}, indexed by dimFM…
+	dirty   [3]*metrics.Counter   // engine_dirty_rows_total{dim=fm|dm|um}
+	buildRM *metrics.Histogram    // engine_build_seconds{dim="rm"}
+	repWalk *metrics.Histogram    // Reputations row-walk latency
 
 	refreeze  *metrics.Histogram // TM integration (WeightedSum) latency
 	refreezes *metrics.Counter   // epoch bumps
-
-	dirtyFM *metrics.Counter // engine_dirty_rows_total{dim=...}
-	dirtyDM *metrics.Counter
-	dirtyUM *metrics.Counter
 }
 
 // NewEngineObs registers the engine metric families in reg and returns
@@ -36,18 +31,43 @@ func NewEngineObs(reg *metrics.Registry, clock obs.Clock) *EngineObs {
 	if reg == nil {
 		return nil
 	}
-	return &EngineObs{
+	o := &EngineObs{
 		tracer:    obs.NewTracer(clock),
-		buildFM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "fm"),
-		buildDM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "dm"),
-		buildUM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "um"),
 		buildRM:   reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", "rm"),
 		repWalk:   reg.Histogram("engine_reputation_walk_seconds", metrics.DurationBuckets),
 		refreeze:  reg.Histogram("engine_tm_refreeze_seconds", metrics.DurationBuckets),
 		refreezes: reg.Counter("engine_tm_refreeze_total"),
-		dirtyFM:   reg.Counter("engine_dirty_rows_total", "dim", "fm"),
-		dirtyDM:   reg.Counter("engine_dirty_rows_total", "dim", "dm"),
-		dirtyUM:   reg.Counter("engine_dirty_rows_total", "dim", "um"),
+	}
+	for d, dim := range [3]string{dimFM: "fm", dimDM: "dm", dimUM: "um"} {
+		o.build[d] = reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", dim)
+		o.dirty[d] = reg.Counter("engine_dirty_rows_total", "dim", dim)
+	}
+	return o
+}
+
+// spanBuild counts rows recomputed rows of dimension d and opens its
+// build span; nil-safe. The sharded engine calls it once per shard that
+// recomputes d, so at K = 1 the samples match the bare engine's.
+func (o *EngineObs) spanBuild(d int, rows int) obs.Span {
+	if o == nil {
+		return obs.Span{}
+	}
+	o.dirty[d].Add(uint64(rows))
+	return o.tracer.Start(o.build[d])
+}
+
+// spanRefreeze opens a TM integration span; nil-safe.
+func (o *EngineObs) spanRefreeze() obs.Span {
+	if o == nil {
+		return obs.Span{}
+	}
+	return o.tracer.Start(o.refreeze)
+}
+
+// countRefreeze records one epoch bump; nil-safe.
+func (o *EngineObs) countRefreeze() {
+	if o != nil {
+		o.refreezes.Inc()
 	}
 }
 
@@ -61,14 +81,14 @@ func (o *EngineObs) spanRepWalk() obs.Span {
 }
 
 // SetObserver attaches (or, with nil, detaches) the metrics observer.
-// Not safe for concurrent use with builds — attach at construction, or
-// through Concurrent.SetObserver.
+// Not safe for concurrent use with builds: the bare engine is
+// single-threaded, so attach at construction.
 func (e *Engine) SetObserver(o *EngineObs) { e.obs = o }
 
 // dirtyCount is the number of rows the next refresh of d will recompute.
-func (e *Engine) dirtyCount(d *dimCache) uint64 {
+func (e *Engine) dirtyCount(d *dimCache) int {
 	if d.all || d.rows == nil {
-		return uint64(e.n)
+		return e.n
 	}
-	return uint64(len(d.dirty))
+	return len(d.dirty)
 }

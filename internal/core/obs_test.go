@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -74,27 +75,73 @@ func TestEngineObserverCounts(t *testing.T) {
 	}
 }
 
-func TestConcurrentObserverSurvivesSwap(t *testing.T) {
-	reg := metrics.NewRegistry()
-	o := NewEngineObs(reg, nil) // counters only; no clock needed
-	c, err := NewConcurrentEngine(3, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+// TestShardedObserverMatchesEngine pins that the sharded facade feeds
+// the engine metric families: for every K the rows recomputed per
+// dimension and the refreeze count equal the bare engine's, and at K = 1
+// the build spans match one for one.
+func TestShardedObserverMatchesEngine(t *testing.T) {
+	const n = 12
+	evs := scriptEvents(n, 3, 7)
+	counts := func(reg *metrics.Registry) [7]uint64 {
+		var c [7]uint64
+		for d, dim := range []string{"fm", "dm", "um"} {
+			c[d] = reg.Counter("engine_dirty_rows_total", "dim", dim).Load()
+			c[3+d] = reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", dim).Count()
+		}
+		c[6] = reg.Counter("engine_tm_refreeze_total").Load()
+		return c
 	}
-	c.SetObserver(o)
+	tick := func() func() time.Time {
+		var ns atomic.Int64
+		return func() time.Time { return time.Unix(0, ns.Add(1000)) }
+	}
 
-	replacement, err := NewEngine(3, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
+	wantReg := metrics.NewRegistry()
+	eng := mustEngine(t, n, DefaultConfig())
+	eng.SetObserver(NewEngineObs(wantReg, tick()))
+	for k, ev := range evs {
+		if err := eng.ApplyEvent(ev); err != nil {
+			t.Fatal(err)
+		}
+		if k%50 == 0 {
+			if _, err := eng.BuildTM(ev.Time); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	c.Swap(replacement)
-	if err := c.Vote(0, "f", 1, 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.TM(0); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("engine_dirty_rows_total", "dim", "fm").Load(); got == 0 {
-		t.Error("observer lost across Swap: no dirty rows recorded")
+	want := counts(wantReg)
+
+	for _, k := range []int{1, 3} {
+		reg := metrics.NewRegistry()
+		s, err := NewSharded(n, k, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.SetObserver(NewEngineObs(reg, tick()))
+		for i, ev := range evs {
+			if err := s.ApplyEvent(ev); err != nil {
+				t.Fatal(err)
+			}
+			if i%50 == 0 {
+				if _, err := s.TM(ev.Time); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		got := counts(reg)
+		if got[6] != s.Epoch() {
+			t.Errorf("k=%d: refreeze count %d != epoch %d", k, got[6], s.Epoch())
+		}
+		for d, dim := range []string{"fm", "dm", "um"} {
+			if got[d] != want[d] {
+				t.Errorf("k=%d: %s dirty rows = %d, engine recomputed %d", k, dim, got[d], want[d])
+			}
+			if k == 1 && got[3+d] != want[3+d] {
+				t.Errorf("k=1: %s build spans = %d, engine recorded %d", dim, got[3+d], want[3+d])
+			}
+		}
+		if got[6] != want[6] {
+			t.Errorf("k=%d: refreezes = %d, engine counted %d", k, got[6], want[6])
+		}
 	}
 }

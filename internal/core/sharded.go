@@ -16,10 +16,11 @@ import (
 // the peer index, each shard owning its peers' evidence (stores,
 // download ledgers, user ratings, blacklists), its row-range of the
 // FM/DM/UM matrices, and its own dirty-row trackers. Writers for
-// different shards proceed in parallel — the property the single
-// RWMutex of Concurrent cannot offer — while rebuilds freeze each
+// different shards proceed in parallel while rebuilds freeze each
 // shard's rows independently (sparse.FreezeNormalizedRows) and merge
 // the pieces into the same global CSRs the unsharded Engine produces.
+// It is the only concurrency facade over the trust core: k = 1 is the
+// single-lock configuration, and every k gives bit-identical results.
 //
 // Shardability rests on an ownership invariant of the event model:
 // every evidence mutation of ApplyEvent touches only the acting peer's
@@ -44,7 +45,7 @@ import (
 //
 // Read paths (Reputations, JudgeFile, BuildRM) synchronise only on the
 // TM cache: a hit returns the immutable frozen CSR and the multi-trust
-// walk runs without any lock, exactly as under Concurrent.
+// walk runs without any lock.
 type Sharded struct {
 	eng *Engine // shared evidence container + row math; never used directly by callers
 	k   int
@@ -70,7 +71,7 @@ type Sharded struct {
 	lastNow    time.Duration
 	lastNowSet bool
 
-	obs  *EngineObs // reputation-walk spans, shared with Concurrent's surface
+	obs  *EngineObs // engine metric families (builds, refreezes, walks)
 	sobs *ShardedObs
 }
 
@@ -172,8 +173,10 @@ func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
 // ShardOf returns peer p's owner shard.
 func (s *Sharded) ShardOf(p int) int { return int(s.shardOf[p]) }
 
-// SetObserver attaches the engine metrics observer (reputation-walk
-// spans); per-shard ingest/rebuild metrics attach via SetShardObserver.
+// SetObserver attaches the engine metrics observer — per-dimension
+// build spans and dirty rows, TM refreezes, reputation walks; per-shard
+// ingest/rebuild metrics attach via SetShardObserver. Attach before the
+// facade is shared.
 func (s *Sharded) SetObserver(o *EngineObs) { s.obs = o }
 
 // SetShardObserver attaches the per-shard metrics observer.
@@ -244,14 +247,16 @@ func (s *Sharded) ApplyEvent(ev Event) error {
 	return err
 }
 
-// ApplyBatch is the group-commit ingest path: the batch is prevalidated
-// (inheriting the all-or-report contract of Concurrent.ApplyBatch — on
-// a *BatchError nothing is applied), partitioned by owner shard, and
-// each shard's sub-batch applies in submission order under that shard's
-// lock, all shards in parallel. Because events with distinct owners
-// commute (see type comment), the result is identical to sequential
-// application. Batches containing EventCompact fall back to sequential
-// ApplyEvent calls: compaction is a global barrier.
+// ApplyBatch is the group-commit ingest path. Contract: all-or-report.
+// Every event is prevalidated with ValidateEvent before any is applied;
+// on failure ApplyBatch returns a *BatchError naming the offending
+// index and NO event of the batch is applied. The batch is then
+// partitioned by owner shard, and each shard's sub-batch applies in
+// submission order under that shard's lock, all shards in parallel.
+// Because events with distinct owners commute (see type comment), the
+// result is identical to sequential application. Batches containing
+// EventCompact fall back to sequential ApplyEvent calls: compaction is
+// a global barrier.
 func (s *Sharded) ApplyBatch(evs []Event) error {
 	n := s.eng.n
 	hasCompact := false
@@ -482,11 +487,17 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		owned := s.owned[si]
 		for d := 0; d < 3; d++ {
 			dim := &s.dims[d]
-			if !all[d] && len(dirty[d]) == 0 && dim.sets[si] != nil {
+			full := all[d] || dim.sets[si] == nil
+			if !full && len(dirty[d]) == 0 {
 				continue
 			}
+			rows := len(dirty[d])
+			if full {
+				rows = len(owned)
+			}
+			sp := s.obs.spanBuild(d, rows)
 			rowFn := s.rowFn(d, now)
-			if all[d] || dim.sets[si] == nil {
+			if full {
 				for _, i := range owned {
 					dim.rows[i] = rowFn(i)
 				}
@@ -496,6 +507,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 				}
 			}
 			dim.sets[si] = sparse.FreezeNormalizedRows(s.eng.n, owned, dim.rows)
+			sp.End()
 			changed[d].Store(true)
 		}
 	})
@@ -514,6 +526,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	src := [3]*sparse.CSR{s.dims[dimFM].frozen, s.dims[dimDM].frozen, s.dims[dimUM].frozen}
 	if s.tm == nil || src != s.tmSrc {
 		cfg := s.eng.cfg
+		sp := s.obs.spanRefreeze()
 		tm, err := sparse.WeightedSum(s.eng.n, []sparse.Weighted{
 			{Scale: cfg.Alpha, M: src[dimFM]},
 			{Scale: cfg.Beta, M: src[dimDM]},
@@ -525,9 +538,8 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.tm = tm
 		s.tmSrc = src
 		s.epoch.Add(1)
-		if s.sobs != nil {
-			s.sobs.refreezes.Inc()
-		}
+		sp.End()
+		s.obs.countRefreeze()
 	}
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
@@ -597,7 +609,8 @@ func (s *Sharded) Evaluation(p int, f eval.FileID, now time.Duration) (float64, 
 	return s.eng.stores[p].Get(f, now)
 }
 
-// JudgeFile mirrors Concurrent.JudgeFile.
+// JudgeFile computes R_f (Eq. 9) for requester i: reputations via the
+// shared TM path, then the threshold decision.
 func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
 	reps, err := s.Reputations(i, now)
 	if err != nil {
@@ -606,7 +619,8 @@ func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) 
 	return s.eng.judgeWith(reps, owners)
 }
 
-// JudgeFileFromTM mirrors Concurrent.JudgeFileFromTM.
+// JudgeFileFromTM is JudgeFile against a caller-held frozen matrix; no
+// lock is held during the walk.
 func (s *Sharded) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation) (Judgement, error) {
 	return s.eng.JudgeFileFromTM(tm, i, owners)
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -238,6 +239,9 @@ func TestShardedApplyBatchContract(t *testing.T) {
 	if !ok || be.Index != 1 {
 		t.Fatalf("err = %v, want BatchError at index 1", err)
 	}
+	if !strings.Contains(err.Error(), "batch event 1") {
+		t.Fatalf("error %q does not name the failing index", err)
+	}
 	st := s.ExportState()
 	for i, ut := range st.UserTrust {
 		if len(ut) != 0 {
@@ -270,14 +274,21 @@ func TestShardedValidation(t *testing.T) {
 	}
 }
 
-// TestShardedHammer drives a K=8 sharded engine with racing single
-// events, batches, compactions and reads; run under -race it is the
-// concurrency proof of the lock ordering in the type comment.
+// TestShardedHammer drives sharded engines (K = 1 and K = 8) with
+// racing batches, typed single events, compactions and reads; run under
+// -race it is the concurrency proof of the lock ordering in the type
+// comment.
 func TestShardedHammer(t *testing.T) {
+	for _, k := range []int{1, 8} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) { hammerSharded(t, k) })
+	}
+}
+
+func hammerSharded(t *testing.T, k int) {
 	const n = 32
 	cfg := DefaultConfig()
 	cfg.Window = time.Hour
-	s, err := NewSharded(n, 8, cfg)
+	s, err := NewSharded(n, k, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +309,34 @@ func TestShardedHammer(t *testing.T) {
 			}
 		}(w)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(7))
+		for r := 0; r < 200; r++ {
+			i, j := rng.Intn(n), rng.Intn(n)
+			f := eval.FileID(fmt.Sprintf("file-%02d", rng.Intn(12)))
+			now := time.Duration(r) * time.Minute
+			var err error
+			switch r % 4 {
+			case 0:
+				err = s.Vote(i, f, rng.Float64(), now)
+			case 1:
+				err = s.SetImplicit(i, f, rng.Float64(), now)
+			case 2:
+				if i != j {
+					err = s.RecordDownload(i, j, f, 1<<10, now)
+				}
+			case 3:
+				if i != j {
+					err = s.RateUser(i, j, rng.Float64())
+				}
+			}
+			if err != nil {
+				panic(err)
+			}
+		}
+	}()
 	for w := 0; w < 3; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -310,7 +349,17 @@ func TestShardedHammer(t *testing.T) {
 				if _, ok := s.Evaluation(r%n, "file-00", now); ok {
 					_ = ok
 				}
-				_ = s.CollectOwnerEvaluations("file-01", []int{0, 5, 9}, now)
+				owners := s.CollectOwnerEvaluations("file-01", []int{0, 5, 9}, now)
+				tm, err := s.TM(now)
+				if err != nil {
+					panic(err)
+				}
+				if _, err := s.ReputationsFromTM(tm, (r+w)%n); err != nil {
+					panic(err)
+				}
+				if _, err := s.JudgeFile((r+w)%n, owners, now); err != nil {
+					panic(err)
+				}
 			}
 		}(w)
 	}

@@ -35,10 +35,11 @@ type ShardedEngine struct {
 }
 
 // journalShard pairs one shard's log with the mutex serialising its
-// apply+append pairs — the per-shard equivalent of Engine.mu, and the
-// only lock in this file. It nests outside the core shard data locks
-// (ApplyShard acquires those) and two are never held at once except in
-// ascending order (lockAllShards).
+// apply+append pairs, so the log records the shard's events in exactly
+// the order they were applied — the invariant deterministic replay
+// rests on. It is the only lock in this file. It nests outside the
+// core shard data locks (ApplyShard acquires those), and no code path
+// holds two of them at once.
 type journalShard struct {
 	mu  sync.Mutex
 	log *Log
@@ -196,8 +197,10 @@ func (e *ShardedEngine) Seq() uint64 {
 }
 
 // recordShard applies then journals one event on shard si, snapshotting
-// if the shard's interval has passed. Apply-first keeps invalid events
-// out of the log, exactly as Engine.record.
+// if the shard's interval has passed. Applying first keeps invalid
+// events out of the log entirely — replay must never fail on
+// validation; a crash between apply and append only loses an event the
+// caller was never told was durable.
 func (e *ShardedEngine) recordShard(si int, ev core.Event) error {
 	sh := &e.shards[si]
 	sh.mu.Lock()

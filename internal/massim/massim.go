@@ -99,10 +99,10 @@ type Config struct {
 	BaselineCap int
 	// MirrorEngine additionally ingests the event stream into a real
 	// trust engine via ApplyBatch and reports its per-class
-	// reputations. Capped by MirrorCap. MirrorShards > 1 backs the
-	// mirror with a core.Sharded facade partitioned across that many
-	// shards instead of core.Concurrent; results are bit-identical, so
-	// it only exercises the sharded ingest/rebuild paths at scale.
+	// reputations. Capped by MirrorCap. MirrorShards partitions the
+	// mirror's core.Sharded engine across that many shards (0 and 1
+	// both mean one); results are bit-identical, so it only exercises
+	// the multi-shard ingest/rebuild paths at scale.
 	MirrorEngine bool
 	MirrorCap    int
 	MirrorShards int

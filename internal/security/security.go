@@ -22,7 +22,6 @@ import (
 	"math"
 	"time"
 
-	"mdrep/internal/core"
 	"mdrep/internal/eval"
 	"mdrep/internal/sim"
 )
@@ -170,11 +169,19 @@ func (c CliqueConfig) Validate() error {
 	return nil
 }
 
+// EvidenceSink is the slice of the trust core a clique writes forged
+// evidence through; *core.Engine and *core.Sharded both satisfy it.
+type EvidenceSink interface {
+	RateUser(i, j int, value float64) error
+	RecordDownload(downloader, uploader int, f eval.FileID, size int64, now time.Duration) error
+	Vote(p int, f eval.FileID, value float64, now time.Duration) error
+}
+
 // InjectClique wires the clique's forged evidence into the trust engine:
 // mutual top ratings (UM), fabricated download volume (DM), and identical
 // evaluations on synthetic files (FM). Returns the synthetic file IDs so
 // the experiment can exclude them from legitimate catalogues.
-func InjectClique(e *core.Engine, cfg CliqueConfig, rng *sim.RNG, now time.Duration) ([]eval.FileID, error) {
+func InjectClique(e EvidenceSink, cfg CliqueConfig, rng *sim.RNG, now time.Duration) ([]eval.FileID, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

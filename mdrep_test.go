@@ -252,8 +252,8 @@ func TestWithShardsParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sharded.engine.(*core.Sharded); !ok {
-		t.Fatalf("WithShards(4) backed by %T, want *core.Sharded", sharded.engine)
+	if k := sharded.engine.K(); k != 4 {
+		t.Fatalf("WithShards(4) built %d shards", k)
 	}
 	shardParityScript(t, plain)
 	shardParityScript(t, sharded)
@@ -302,12 +302,14 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := NewSystem(5, WithShards(core.MaxShards+1)); err == nil {
 		t.Fatal("oversized shard count accepted")
 	}
-	sys, err := NewSystem(5, WithShards(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := sys.engine.(*core.Concurrent); !ok {
-		t.Fatalf("WithShards(1) backed by %T, want *core.Concurrent", sys.engine)
+	for _, k := range []int{0, 1} {
+		sys, err := NewSystem(5, WithShards(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sys.engine.K(); got != 1 {
+			t.Fatalf("WithShards(%d) built %d shards, want 1", k, got)
+		}
 	}
 }
 
@@ -336,5 +338,19 @@ func TestWithShardsMetrics(t *testing.T) {
 	}
 	if reg.Histogram("engine_reputation_walk_seconds", metrics.DurationBuckets).Count() == 0 {
 		t.Error("no reputation walk spans recorded")
+	}
+	// The engine families must be fed by the sharded rebuild too: the
+	// first build recomputes every row of every dimension, once.
+	for _, dim := range []string{"fm", "dm", "um"} {
+		h := reg.Histogram("engine_build_seconds", metrics.DurationBuckets, "dim", dim)
+		if h.Count() == 0 || h.Sum() <= 0 {
+			t.Errorf("%s build spans: count %d, sum %v; want samples with a ticking clock", dim, h.Count(), h.Sum())
+		}
+		if got := reg.Counter("engine_dirty_rows_total", "dim", dim).Load(); got != 6 {
+			t.Errorf("%s dirty rows = %d, want all 6", dim, got)
+		}
+	}
+	if got := reg.Counter("engine_tm_refreeze_total").Load(); got != 1 {
+		t.Errorf("TM refreezes = %d, want 1", got)
 	}
 }
