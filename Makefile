@@ -67,17 +67,22 @@ chaos:
 		echo "coverage $$total% is below the 80% gate" >&2; exit 1; }
 
 # obs runs the observability layer under the race detector — the metrics
-# registry, the tracer, and every instrumented package's obs tests — then
-# the benchmark guard: counter Inc and histogram Observe must stay
-# 0 B/op on the hot path (the TestHotPathZeroAlloc test enforces
-# allocs == 0; the benchmarks here surface the actual ns/op and B/op).
+# registry (including its nil-handle no-ops), the unified obs.Span, and
+# every instrumented package's obs tests — then the benchmark guard:
+# counter Inc, histogram Observe and both span shapes (histogram-only,
+# and causal+histogram under live tracing, each ended via defer) must
+# stay 0 B/op on the hot path. A span carries flight.MaxAttrs attrs, so
+# a heap escape on e.g. the journal-append path fails here (the
+# TestHotPathZeroAlloc and TestSpanZeroAlloc tests enforce allocs == 0;
+# the benchmarks surface the actual ns/op and B/op).
 obs:
-	$(GO) test -race -run 'Obs|Observer|Instrument|Metrics|Histogram|Registry|Span|Tracer|Serve|Exchange|Exported' \
+	$(GO) test -race -run 'Obs|Observer|Instrument|Metrics|Histogram|Registry|Span|Handles|Serve|Exchange|Exported' \
 		mdrep/internal/metrics mdrep/internal/obs mdrep/internal/sparse \
 		mdrep/internal/core mdrep/internal/journal mdrep/internal/dht \
+		mdrep/internal/walk mdrep/internal/massim \
 		mdrep/internal/peer mdrep/internal/chaos mdrep/cmd/mdrep-peer
-	$(GO) test -run '^$$' -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve' \
-		-benchmem mdrep/internal/metrics | tee /dev/stderr | \
+	$(GO) test -run '^$$' -bench 'BenchmarkCounterInc|BenchmarkHistogramObserve|BenchmarkSpan' \
+		-benchmem mdrep/internal/metrics mdrep/internal/obs | tee /dev/stderr | \
 		awk '/^Benchmark/ { if ($$(NF-3) != 0) { \
 			print "FAIL: " $$1 " allocates " $$(NF-3) " B/op on the hot path" > "/dev/stderr"; exit 1 } }'
 

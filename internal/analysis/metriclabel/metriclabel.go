@@ -21,7 +21,7 @@
 //     friends); callers are checked wherever this analyzer sees them.
 //
 // Span attribute keys are held to the same contract: every key handed
-// to (*obs.TSpan).Attr / AttrStr names a fixed slot in the flight
+// to (*obs.Span).Attr / AttrStr names a fixed slot in the flight
 // recorder's ring and a column in the rendered trace tree, so a key
 // derived from request data would grow the attribute namespace exactly
 // the way an unbounded label value grows the registry. Keys must be
@@ -56,7 +56,7 @@ var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "require finite, statically evident metric label values and span attribute keys\n\n" +
 		"Label values passed to the metrics registry and attribute keys passed to\n" +
-		"span setters (obs.TSpan.Attr/AttrStr) must be compile-time constants,\n" +
+		"span setters (obs.Span.Attr/AttrStr) must be compile-time constants,\n" +
 		"members of a declared finite set (constant composite literal,\n" +
 		"//mdrep:labelset function), or parameters of the exported instrumentation\n" +
 		"boundary. User IDs, err.Error() strings and loop data explode Prometheus\n" +
@@ -169,7 +169,7 @@ func registryLabelStart(pass *analysis.Pass, call *ast.CallExpr) (int, bool) {
 }
 
 // spanAttrKeyArg reports whether call sets a span attribute —
-// (*obs.TSpan).Attr or AttrStr — and, if so, which argument carries the
+// (*obs.Span).Attr or AttrStr — and, if so, which argument carries the
 // attribute key. Keys share the metric-label cardinality contract;
 // values are per-trace data and stay unchecked.
 func spanAttrKeyArg(pass *analysis.Pass, call *ast.CallExpr) (int, bool) {
@@ -186,7 +186,7 @@ func spanAttrKeyArg(pass *analysis.Pass, call *ast.CallExpr) (int, bool) {
 		rt = p.Elem()
 	}
 	named, ok := rt.(*types.Named)
-	if !ok || named.Obj().Name() != "TSpan" || named.Obj().Pkg() == nil {
+	if !ok || named.Obj().Name() != "Span" || named.Obj().Pkg() == nil {
 		return 0, false
 	}
 	if !lintutil.IsPackage(named.Obj().Pkg().Path(), "obs") {

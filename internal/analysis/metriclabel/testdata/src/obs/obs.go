@@ -3,10 +3,10 @@
 // receiver type name and package suffix.
 package obs
 
-type TSpan struct{}
+type Span struct{}
 
-func StartRoot(name string) TSpan { return TSpan{} }
+func StartRoot(name string) Span { return Span{} }
 
-func (t *TSpan) Attr(key string, v int64) {}
-func (t *TSpan) AttrStr(key, val string)  {}
-func (t *TSpan) End()                     {}
+func (t *Span) Attr(key string, v int64) {}
+func (t *Span) AttrStr(key, val string)  {}
+func (t *Span) End()                     {}

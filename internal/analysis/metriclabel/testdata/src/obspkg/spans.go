@@ -24,7 +24,7 @@ func spanAttrs(id int) {
 
 // AttrAt is an exported instrumentation boundary: its key parameter is
 // trusted here and audited at every caller this analyzer sees.
-func AttrAt(sp *obs.TSpan, key string) {
+func AttrAt(sp *obs.Span, key string) {
 	sp.Attr(key, 1) // exported-boundary parameter: allowed
 }
 
@@ -42,16 +42,16 @@ func viaLabelSet(i int) {
 	sp.End()
 }
 
-func forwardKey(sp *obs.TSpan, key string) {
+func forwardKey(sp *obs.Span, key string) {
 	sp.AttrStr(key, "v") // unexported forwarder: checked at call sites
 }
 
-func driveSpans(sp *obs.TSpan, payload string) {
+func driveSpans(sp *obs.Span, payload string) {
 	forwardKey(sp, attrUser)      // constant through the forwarder: allowed
 	forwardKey(sp, payload+"...") // want `label value payload \+ "\.\.\." is not a constant`
 }
 
-func suppressedAttr(sp *obs.TSpan) {
+func suppressedAttr(sp *obs.Span) {
 	k := strconv.Itoa(3)
 	sp.Attr(k, 1) //mdrep:allow metriclabel: debug-only span, key set bounded by operator config
 }

@@ -1,5 +1,5 @@
 // Stub of mdrep/internal/obs for the wallclock fixtures: the same
-// surface (Clock, WallClock, Tracer, Span) under the bare import path
+// surface (Clock, WallClock, Span, Timed) under the bare import path
 // "obs", which lintutil.IsPackage matches like the real one.
 package obs
 
@@ -9,28 +9,19 @@ type Clock func() time.Time
 
 func WallClock() time.Time { return time.Now() }
 
-type Tracer struct{ clock Clock }
-
-func NewTracer(clock Clock) *Tracer {
-	if clock == nil {
-		return nil
-	}
-	return &Tracer{clock: clock}
-}
-
 type Span struct {
 	clock Clock
 	start time.Time
 }
 
-func (t *Tracer) Start() Span {
-	if t == nil {
+func Timed(clock Clock) Span {
+	if clock == nil {
 		return Span{}
 	}
-	return Span{clock: t.clock, start: t.clock()}
+	return Span{clock: clock, start: clock()}
 }
 
-func (s Span) End() time.Duration {
+func (s *Span) End() time.Duration {
 	if s.clock == nil {
 		return 0
 	}

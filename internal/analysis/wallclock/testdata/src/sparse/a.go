@@ -1,7 +1,7 @@
 // Positive fixture for the observability rules: package path "sparse"
 // is in wallclock's deterministic set. Instrumentation must take its
 // clock by injection; reading the wall clock inside a span, or binding
-// obs.WallClock to a tracer, is flagged.
+// obs.WallClock to an observer, is flagged.
 package sparse
 
 import (
@@ -10,19 +10,19 @@ import (
 )
 
 type kernelObs struct {
-	tracer *obs.Tracer
+	clock obs.Clock
 }
 
-// instrumentSelf wires the ambient clock into the package's own tracer —
+// instrumentSelf wires the ambient clock into the package's own observer —
 // exactly the uncalled-reference form the analyzer must catch.
 func instrumentSelf() *kernelObs {
-	return &kernelObs{tracer: obs.NewTracer(obs.WallClock)} // want `obs\.WallClock binds the ambient clock`
+	return &kernelObs{clock: obs.WallClock} // want `obs\.WallClock binds the ambient clock`
 }
 
 // badSpan reads the raw wall clock inside an open span instead of
 // letting the span's injected clock measure the work.
 func badSpan(k *kernelObs) time.Duration {
-	sp := k.tracer.Start()
+	sp := obs.Timed(k.clock)
 	start := time.Now() // want `time\.Now reads the wall clock`
 	work()
 	_ = sp.End()
@@ -30,16 +30,16 @@ func badSpan(k *kernelObs) time.Duration {
 }
 
 // goodSpan is the sanctioned shape: the clock arrived by injection when
-// the tracer was built, and the span alone reads it.
+// the observer was built, and the span alone reads it.
 func goodSpan(k *kernelObs) time.Duration {
-	sp := k.tracer.Start()
+	sp := obs.Timed(k.clock)
 	work()
 	return sp.End()
 }
 
 // instrument is the sanctioned constructor: the caller chooses the clock.
 func instrument(clock obs.Clock) *kernelObs {
-	return &kernelObs{tracer: obs.NewTracer(clock)}
+	return &kernelObs{clock: clock}
 }
 
 func work() {}

@@ -20,9 +20,9 @@
 // //mdrep:allow wallclock suppression naming the reason.
 //
 // The observability layer gets the same treatment: any reference to
-// obs.WallClock — even uncalled, e.g. obs.NewTracer(obs.WallClock) — is
-// flagged, because binding the ambient clock to a tracer inside a
-// deterministic package defeats the injected-clock contract. Instrumented
+// obs.WallClock — even uncalled, e.g. obs.Timed(obs.WallClock, h) — is
+// flagged, because binding the ambient clock to a span or observer
+// inside a deterministic package defeats the injected-clock contract. Instrumented
 // packages accept an obs.Clock from their caller (a cmd binary or a
 // test's fake clock) and never choose the clock themselves.
 package wallclock
@@ -97,7 +97,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 	})
 	// References (not just calls) to obs.WallClock: passing the ambient
-	// clock into a tracer is as nondeterministic as calling time.Now, and
+	// clock into a span is as nondeterministic as calling time.Now, and
 	// the uncalled form is exactly how it would sneak in — as a Clock
 	// argument. The time.Now reference exemption does not extend here:
 	// an instrumented deterministic package must receive its obs.Clock

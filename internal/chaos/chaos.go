@@ -138,8 +138,9 @@ type Chaos struct {
 	// Counters tallies delivered faults.
 	Counters Counters
 
-	// exp optionally mirrors Counters onto a shared registry (Instrument).
-	exp *chaosExport
+	// exp mirrors Counters onto a shared registry (Instrument); the zero
+	// value mirrors nothing.
+	exp chaosExport
 }
 
 // New wraps inner with fault injection. clock may be shared with other
@@ -259,27 +260,27 @@ func (c *Chaos) admit(from, to string) ([]deferredOp, error) {
 func (c *Chaos) verdictLocked(from, to string, latency time.Duration) error {
 	if c.cfg.OpTimeout > 0 && latency > c.cfg.OpTimeout {
 		c.Counters.Timeouts.Inc()
-		c.exp.countTimeout()
+		c.exp.timeouts.Inc()
 		return fmt.Errorf("chaos: rpc %s->%s exceeded op timeout: %w", from, to, fault.ErrTimeout)
 	}
 	if _, down := c.down[from]; down {
 		c.Counters.CrashBlocks.Inc()
-		c.exp.countCrashBlock()
+		c.exp.crashBlocks.Inc()
 		return fmt.Errorf("chaos: caller %s crashed: %w", from, dht.ErrNodeUnreachable)
 	}
 	if _, down := c.down[to]; down {
 		c.Counters.CrashBlocks.Inc()
-		c.exp.countCrashBlock()
+		c.exp.crashBlocks.Inc()
 		return fmt.Errorf("chaos: callee %s crashed: %w", to, dht.ErrNodeUnreachable)
 	}
 	if len(c.group) > 0 && c.group[from] != c.group[to] {
 		c.Counters.PartitionBlocks.Inc()
-		c.exp.countPartitionBlock()
+		c.exp.partitionBlocks.Inc()
 		return fmt.Errorf("chaos: %s and %s partitioned: %w", from, to, dht.ErrNodeUnreachable)
 	}
 	if c.cfg.RequestLoss > 0 && c.rng.Float64() < c.cfg.RequestLoss {
 		c.Counters.RequestDrops.Inc()
-		c.exp.countRequestDrop()
+		c.exp.requestDrops.Inc()
 		return fmt.Errorf("chaos: request %s->%s dropped: %w", from, to, dht.ErrNodeUnreachable)
 	}
 	return nil
@@ -291,7 +292,7 @@ func (c *Chaos) replyLost(from, to string) error {
 	defer c.mu.Unlock()
 	if c.cfg.ReplyLoss > 0 && c.rng.Float64() < c.cfg.ReplyLoss {
 		c.Counters.ReplyDrops.Inc()
-		c.exp.countReplyDrop()
+		c.exp.replyDrops.Inc()
 		return fmt.Errorf("chaos: reply %s->%s dropped: %w", to, from, dht.ErrNodeUnreachable)
 	}
 	return nil
@@ -306,7 +307,7 @@ func (c *Chaos) shouldDup() bool {
 	defer c.mu.Unlock()
 	if c.rng.Float64() < c.cfg.DupRate {
 		c.Counters.Dups.Inc()
-		c.exp.countDup()
+		c.exp.dups.Inc()
 		return true
 	}
 	return false
@@ -324,7 +325,7 @@ func (c *Chaos) maybeDefer(run func()) bool {
 		return false
 	}
 	c.Counters.Deferred.Inc()
-	c.exp.countDeferred()
+	c.exp.deferred.Inc()
 	slip := uint64(1 + c.rng.Intn(c.cfg.DeferOps))
 	c.deferred = append(c.deferred, deferredOp{due: c.ops + slip, run: run})
 	return true

@@ -93,7 +93,7 @@ func (nw *Network) Addr(i int) string {
 	return fmt.Sprintf("chaos://node-%03d", i)
 }
 
-// virtualClock adapts the network's virtual clock to the tracer's clock
+// virtualClock adapts the network's virtual clock to the obs.Clock
 // type, so exported latency spans measure virtual (deterministic) time.
 func (nw *Network) virtualClock() obs.Clock {
 	return func() time.Time { return time.Unix(0, 0).Add(nw.Clock.Now()) }

@@ -6,7 +6,8 @@ import "mdrep/internal/metrics"
 // registry as chaos_faults_total{kind=...}. The value Counters stay the
 // independent ground truth: both tallies are bumped at the same sites,
 // so an exporter bug shows up as a divergence between the two (the
-// harness tests assert exact equality after a seeded run).
+// harness tests assert exact equality after a seeded run). The zero
+// chaosExport, an uninstrumented injector's, has nil (no-op) handles.
 type chaosExport struct {
 	requestDrops    *metrics.Counter
 	replyDrops      *metrics.Counter
@@ -27,7 +28,7 @@ func (c *Chaos) Instrument(reg *metrics.Registry, labels ...string) {
 	kind := func(v string) *metrics.Counter {
 		return reg.Counter("chaos_faults_total", append([]string{"kind", v}, labels...)...)
 	}
-	c.exp = &chaosExport{
+	c.exp = chaosExport{
 		requestDrops:    kind("request_drops"),
 		replyDrops:      kind("reply_drops"),
 		dups:            kind("dups"),
@@ -35,47 +36,5 @@ func (c *Chaos) Instrument(reg *metrics.Registry, labels ...string) {
 		partitionBlocks: kind("partition_blocks"),
 		timeouts:        kind("timeouts"),
 		crashBlocks:     kind("crash_blocks"),
-	}
-}
-
-func (e *chaosExport) countRequestDrop() {
-	if e != nil {
-		e.requestDrops.Inc()
-	}
-}
-
-func (e *chaosExport) countReplyDrop() {
-	if e != nil {
-		e.replyDrops.Inc()
-	}
-}
-
-func (e *chaosExport) countDup() {
-	if e != nil {
-		e.dups.Inc()
-	}
-}
-
-func (e *chaosExport) countDeferred() {
-	if e != nil {
-		e.deferred.Inc()
-	}
-}
-
-func (e *chaosExport) countPartitionBlock() {
-	if e != nil {
-		e.partitionBlocks.Inc()
-	}
-}
-
-func (e *chaosExport) countTimeout() {
-	if e != nil {
-		e.timeouts.Inc()
-	}
-}
-
-func (e *chaosExport) countCrashBlock() {
-	if e != nil {
-		e.crashBlocks.Inc()
 	}
 }

@@ -65,9 +65,9 @@ type Engine struct {
 	lastNow    time.Duration
 	lastNowSet bool
 
-	// obs is the optional metrics observer (see obs.go); nil means
-	// uninstrumented, the default.
-	obs *EngineObs
+	// obs is the metrics observer (see obs.go); the zero value, the
+	// default, is uninstrumented.
+	obs EngineObs
 }
 
 type downloadEntry struct {
@@ -414,7 +414,8 @@ func (e *Engine) refreshFM(now time.Duration) bool {
 	if !e.fm.stale() {
 		return false
 	}
-	sp := e.obs.spanBuild(dimFM, e.dirtyCount(&e.fm))
+	e.obs.dirty[dimFM].Add(uint64(e.dirtyCount(&e.fm)))
+	sp := obs.Timed(e.obs.clock, e.obs.build[dimFM])
 	memo := make(map[eval.FileID]*fileEvaluators)
 	changed := e.refresh(&e.fm, func(i int) map[int]float64 { return e.fmRow(i, now, memo) })
 	sp.End()
@@ -425,7 +426,8 @@ func (e *Engine) refreshDM(now time.Duration) bool {
 	if !e.dm.stale() {
 		return false
 	}
-	sp := e.obs.spanBuild(dimDM, e.dirtyCount(&e.dm))
+	e.obs.dirty[dimDM].Add(uint64(e.dirtyCount(&e.dm)))
+	sp := obs.Timed(e.obs.clock, e.obs.build[dimDM])
 	changed := e.refresh(&e.dm, func(i int) map[int]float64 { return e.dmRow(i, now) })
 	sp.End()
 	return changed
@@ -435,7 +437,8 @@ func (e *Engine) refreshUM() bool {
 	if !e.um.stale() {
 		return false
 	}
-	sp := e.obs.spanBuild(dimUM, e.dirtyCount(&e.um))
+	e.obs.dirty[dimUM].Add(uint64(e.dirtyCount(&e.um)))
+	sp := obs.Timed(e.obs.clock, e.obs.build[dimUM])
 	changed := e.refresh(&e.um, func(i int) map[int]float64 { return e.umRow(i) })
 	sp.End()
 	return changed
@@ -528,7 +531,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 	e.refreshUM()
 	src := [3]*sparse.CSR{e.fm.frozen, e.dm.frozen, e.um.frozen}
 	if e.tm == nil || src != e.tmSrc {
-		sp := e.obs.spanRefreeze()
+		sp := obs.Timed(e.obs.clock, e.obs.refreeze)
 		tm, err := sparse.WeightedSum(e.n, []sparse.Weighted{
 			{Scale: e.cfg.Alpha, M: e.fm.frozen},
 			{Scale: e.cfg.Beta, M: e.dm.frozen},
@@ -541,7 +544,7 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 		e.tmSrc = src
 		e.epoch++
 		sp.End()
-		e.obs.countRefreeze()
+		e.obs.refreezes.Inc()
 	}
 	return e.tm, nil
 }
@@ -581,10 +584,7 @@ func (e *Engine) BuildRM(now time.Duration) (*sparse.CSR, error) {
 	if err != nil {
 		return nil, err
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		sp = e.obs.tracer.Start(e.obs.buildRM)
-	}
+	sp := obs.Timed(e.obs.clock, e.obs.buildRM)
 	rm, err := tm.Pow(e.cfg.Steps)
 	sp.End()
 	return rm, err
@@ -600,10 +600,7 @@ func (e *Engine) Reputations(i int, now time.Duration) (map[int]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	var sp obs.Span
-	if e.obs != nil {
-		sp = e.obs.tracer.Start(e.obs.repWalk)
-	}
+	sp := obs.Timed(e.obs.clock, e.obs.repWalk)
 	row, err := tm.RowVecPow(i, e.cfg.Steps)
 	sp.End()
 	return row, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,5 +144,45 @@ func TestShardedObserverMatchesEngine(t *testing.T) {
 		if got[6] != want[6] {
 			t.Errorf("k=%d: refreezes = %d, engine counted %d", k, got[6], want[6])
 		}
+	}
+}
+
+// A ShardedObs carries one per-shard series per shard it was built for;
+// attaching one built for another shard count must fail at attach time,
+// naming both counts, instead of indexing out of range inside a shard
+// worker on the first batch.
+func TestSetShardObserverRejectsMismatchedK(t *testing.T) {
+	s, err := NewSharded(8, 4, DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			want := "core: ShardedObs built for 1 shard(s) attached to a 4-shard engine"
+			if r := recover(); fmt.Sprint(r) != want {
+				t.Errorf("panic = %v, want %q", r, want)
+			}
+		}()
+		s.SetShardObserver(NewShardedObs(metrics.NewRegistry(), nil, 1))
+	}()
+	reg := metrics.NewRegistry()
+	s.SetShardObserver(NewShardedObs(reg, nil, 4))
+	evs := make([]Event, 8)
+	for p := range evs {
+		evs[p] = Event{Kind: EventVote, I: p, File: "f", Value: 0.5}
+	}
+	if err := s.ApplyBatch(evs); err != nil {
+		t.Fatal(err)
+	}
+	var events uint64
+	for si := 0; si < 4; si++ {
+		events += reg.Counter("sharded_ingest_events_total", "shard", shardLabel(si)).Load()
+	}
+	if events != 8 {
+		t.Errorf("sharded_ingest_events_total sums to %d, want 8", events)
+	}
+	s.SetShardObserver(nil) // detaching is always allowed
+	if err := s.ApplyBatch(evs); err != nil {
+		t.Fatal(err)
 	}
 }

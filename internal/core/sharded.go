@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/obs"
 	"mdrep/internal/sparse"
 )
 
@@ -71,8 +72,8 @@ type Sharded struct {
 	lastNow    time.Duration
 	lastNowSet bool
 
-	obs  *EngineObs // engine metric families (builds, refreezes, walks)
-	sobs *ShardedObs
+	obs  EngineObs  // engine metric families (builds, refreezes, walks)
+	sobs ShardedObs // per-shard ingest and rebuild families
 }
 
 // shard is one partition's locks and dirty-row trackers. The zero-ish
@@ -155,6 +156,7 @@ func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 		s.dims[d].rows = make([]map[int]float64, n)
 		s.dims[d].sets = make([]*sparse.RowSet, k)
 	}
+	s.SetShardObserver(nil)
 	return s, nil
 }
 
@@ -177,10 +179,12 @@ func (s *Sharded) ShardOf(p int) int { return int(s.shardOf[p]) }
 // build spans and dirty rows, TM refreezes, reputation walks; per-shard
 // ingest/rebuild metrics attach via SetShardObserver. Attach before the
 // facade is shared.
-func (s *Sharded) SetObserver(o *EngineObs) { s.obs = o }
-
-// SetShardObserver attaches the per-shard metrics observer.
-func (s *Sharded) SetShardObserver(o *ShardedObs) { s.sobs = o }
+func (s *Sharded) SetObserver(o *EngineObs) {
+	s.obs = EngineObs{}
+	if o != nil {
+		s.obs = *o
+	}
+}
 
 // markShard routes a dirty-row mark to the row's owner shard. It may be
 // called from under any data or index stripe lock: dirtyMu is a leaf.
@@ -268,9 +272,7 @@ func (s *Sharded) ApplyBatch(evs []Event) error {
 			hasCompact = true
 		}
 	}
-	if s.sobs != nil {
-		s.sobs.batches.Inc()
-	}
+	s.sobs.batches.Inc()
 	if hasCompact {
 		for k := range evs {
 			if err := s.ApplyEvent(evs[k]); err != nil {
@@ -301,9 +303,7 @@ func (s *Sharded) ApplyBatch(evs []Event) error {
 			}
 			s.version.Add(1)
 			sh.mu.Unlock()
-			if s.sobs != nil {
-				s.sobs.events[si].Add(uint64(len(parts[si])))
-			}
+			s.sobs.events[si].Add(uint64(len(parts[si])))
 		}(si)
 	}
 	wg.Wait()
@@ -425,11 +425,11 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	if tm, ok := s.cachedTM(now); ok {
 		return tm, nil
 	}
-	lockSp := s.sobs.spanLockWait()
+	lockSp := obs.Timed(s.sobs.clock, s.sobs.lockWait)
 	s.lockAll()
 	lockSp.End()
 	defer s.unlockAll()
-	sp := s.sobs.spanRebuild()
+	sp := obs.Timed(s.sobs.clock, s.sobs.rebuild)
 	defer sp.End()
 	ver := s.version.Load() // quiescent: mutators bump under a data lock we hold
 
@@ -469,7 +469,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	// Drain + recompute + refreeze, one worker per shard.
 	var changed [3]atomic.Bool
 	s.parallelShards(func(si int) {
-		shSp := s.sobs.spanShardRebuild(si)
+		shSp := obs.Timed(s.sobs.clock, s.sobs.perShard[si])
 		defer shSp.End()
 		sh := &s.shards[si]
 		sh.dirtyMu.Lock()
@@ -495,7 +495,10 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 			if full {
 				rows = len(owned)
 			}
-			sp := s.obs.spanBuild(d, rows)
+			// One build sample per shard that recomputes d, so at
+			// K = 1 the samples match the bare engine's.
+			s.obs.dirty[d].Add(uint64(rows))
+			sp := obs.Timed(s.obs.clock, s.obs.build[d])
 			rowFn := s.rowFn(d, now)
 			if full {
 				for _, i := range owned {
@@ -526,7 +529,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	src := [3]*sparse.CSR{s.dims[dimFM].frozen, s.dims[dimDM].frozen, s.dims[dimUM].frozen}
 	if s.tm == nil || src != s.tmSrc {
 		cfg := s.eng.cfg
-		sp := s.obs.spanRefreeze()
+		sp := obs.Timed(s.obs.clock, s.obs.refreeze)
 		tm, err := sparse.WeightedSum(s.eng.n, []sparse.Weighted{
 			{Scale: cfg.Alpha, M: src[dimFM]},
 			{Scale: cfg.Beta, M: src[dimDM]},
@@ -539,7 +542,7 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.tmSrc = src
 		s.epoch.Add(1)
 		sp.End()
-		s.obs.countRefreeze()
+		s.obs.refreezes.Inc()
 	}
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
@@ -583,7 +586,7 @@ func (s *Sharded) Reputations(i int, now time.Duration) (map[int]float64, error)
 	if err != nil {
 		return nil, err
 	}
-	sp := s.obs.spanRepWalk()
+	sp := obs.Timed(s.obs.clock, s.obs.repWalk)
 	row, err := tm.RowVecPow(i, s.Config().Steps)
 	sp.End()
 	return row, err

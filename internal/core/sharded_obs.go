@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strconv"
 
 	"mdrep/internal/metrics"
@@ -13,10 +14,10 @@ import (
 // (writer contention made visible). The engine families (per-dimension
 // builds, TM refreezes) come from the EngineObs attached with
 // SetObserver. All series carrying a per-shard dimension use a "shard"
-// label so dashboards can spot a hot shard. A nil observer disables
-// everything, as EngineObs.
+// label so dashboards can spot a hot shard. A disabled observer has nil
+// handles and a nil clock, as EngineObs, but one (nil) slot per shard.
 type ShardedObs struct {
-	tracer *obs.Tracer
+	clock obs.Clock
 
 	batches  *metrics.Counter     // sharded_ingest_batches_total
 	events   []*metrics.Counter   // sharded_ingest_events_total{shard=i}
@@ -33,7 +34,7 @@ func NewShardedObs(reg *metrics.Registry, clock obs.Clock, k int) *ShardedObs {
 		return nil
 	}
 	o := &ShardedObs{
-		tracer:   obs.NewTracer(clock),
+		clock:    clock,
 		batches:  reg.Counter("sharded_ingest_batches_total"),
 		events:   make([]*metrics.Counter, k),
 		rebuild:  reg.Histogram("sharded_rebuild_seconds", metrics.DurationBuckets),
@@ -47,6 +48,19 @@ func NewShardedObs(reg *metrics.Registry, clock obs.Clock, k int) *ShardedObs {
 	return o
 }
 
+// SetShardObserver attaches the per-shard metrics observer; nil
+// detaches it. The observer must have been built for this facade's
+// shard count: its per-shard series are indexed by shard.
+func (s *Sharded) SetShardObserver(o *ShardedObs) {
+	if o == nil {
+		o = &ShardedObs{events: make([]*metrics.Counter, s.k), perShard: make([]*metrics.Histogram, s.k)}
+	}
+	if len(o.events) != s.k {
+		panic(fmt.Sprintf("core: ShardedObs built for %d shard(s) attached to a %d-shard engine", len(o.events), s.k))
+	}
+	s.sobs = *o
+}
+
 // shardLabel returns the canonical metric label for shard index i. The
 // set is bounded by construction: NewSharded rejects k > MaxShards
 // (256), and anything outside that range collapses to one overflow
@@ -58,28 +72,4 @@ func shardLabel(i int) string {
 		return "overflow"
 	}
 	return strconv.Itoa(i)
-}
-
-// spanRebuild times one stop-the-world rebuild; nil-safe.
-func (o *ShardedObs) spanRebuild() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.rebuild)
-}
-
-// spanShardRebuild times one shard's recompute+refreeze; nil-safe.
-func (o *ShardedObs) spanShardRebuild(si int) obs.Span {
-	if o == nil || si >= len(o.perShard) {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.perShard[si])
-}
-
-// spanLockWait times the acquisition of all shard locks; nil-safe.
-func (o *ShardedObs) spanLockWait() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.lockWait)
 }

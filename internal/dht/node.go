@@ -57,8 +57,9 @@ type Node struct {
 	// Lookups counts FindSuccessor hops served, for experiment E6.
 	lookupHops uint64
 
-	// obs is the optional ring-metrics surface (see Instrument).
-	obs *nodeObs
+	// obs is the ring-metrics surface (see Instrument); the zero value
+	// is uninstrumented.
+	obs nodeObs
 }
 
 // NewNode builds a node addressed at addr using the given client.
@@ -167,9 +168,7 @@ func (n *Node) HandleFindSuccessor(sc obs.SpanContext, id ID) (NodeRef, error) {
 	n.lookupHops++
 	succ := n.succs[0]
 	n.mu.Unlock()
-	if n.obs != nil {
-		n.obs.lookupHops.Inc()
-	}
+	n.obs.lookupHops.Inc()
 	if Between(id, n.self.ID, succ.ID) {
 		return succ, nil
 	}
@@ -231,9 +230,7 @@ var _ handler = (*Node)(nil)
 // adopt a closer one if its predecessor sits between, refresh the
 // successor list, and notify the successor of our existence.
 func (n *Node) Stabilize() {
-	if n.obs != nil {
-		n.obs.stabilizations.Inc()
-	}
+	n.obs.stabilizations.Inc()
 	succ := n.Successor()
 	if succ.Addr == n.self.Addr {
 		// Bootstrap case: a node that is its own successor adopts its
@@ -435,9 +432,7 @@ func (n *Node) Retrieve(sc obs.SpanContext, key ID) (out []StoredRecord, err err
 	tsp := obs.StartSpan(sc, spanRetrieve)
 	walked := 1 // the root is always consulted
 	defer func() {
-		if n.obs != nil {
-			n.obs.walkDepth.Observe(float64(walked))
-		}
+		n.obs.walkDepth.Observe(float64(walked))
 		tsp.Attr(attrWalked, int64(walked))
 		tsp.EndErr(err)
 	}()

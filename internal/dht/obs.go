@@ -6,10 +6,11 @@ import (
 )
 
 // rpcObs is the RetryClient's latency surface: one histogram per RPC op
-// (spanning all attempts and backoff of one logical call), plus the
-// retry counters that Instrument rebinds onto the shared registry.
+// (spanning all attempts and backoff of one logical call), timed on the
+// clock Instrument was given. The zero rpcObs, an uninstrumented
+// client's, has no histograms and leaves every op span untimed.
 type rpcObs struct {
-	tracer   *obs.Tracer
+	clock    obs.Clock
 	find     *metrics.Histogram
 	succ     *metrics.Histogram
 	pred     *metrics.Histogram
@@ -17,34 +18,6 @@ type rpcObs struct {
 	ping     *metrics.Histogram
 	store    *metrics.Histogram
 	retrieve *metrics.Histogram
-}
-
-// hist maps an op name from do() to its histogram.
-func (o *rpcObs) hist(name string) *metrics.Histogram {
-	switch name {
-	case "find_successor":
-		return o.find
-	case "successors":
-		return o.succ
-	case "predecessor":
-		return o.pred
-	case "notify":
-		return o.notify
-	case "ping":
-		return o.ping
-	case "store":
-		return o.store
-	case "retrieve":
-		return o.retrieve
-	}
-	return nil
-}
-
-func (o *rpcObs) span(name string) obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.hist(name))
 }
 
 // Instrument rebinds the client's retry counters onto reg — as
@@ -65,8 +38,8 @@ func (c *RetryClient) Instrument(reg *metrics.Registry, clock obs.Clock, labels 
 	h := func(op string) *metrics.Histogram {
 		return reg.Histogram("dht_rpc_seconds", metrics.DurationBuckets, append([]string{"op", op}, labels...)...)
 	}
-	c.obs = &rpcObs{
-		tracer:   obs.NewTracer(clock),
+	c.obs = rpcObs{
+		clock:    clock,
 		find:     h("find_successor"),
 		succ:     h("successors"),
 		pred:     h("predecessor"),
@@ -79,7 +52,8 @@ func (c *RetryClient) Instrument(reg *metrics.Registry, clock obs.Clock, labels 
 
 // nodeObs is the ring-maintenance surface of a Node: stabilisation
 // rounds, forwarded lookup hops, and how many nodes a Retrieve had to
-// walk (root plus replicas) before answering.
+// walk (root plus replicas) before answering. The zero nodeObs, an
+// uninstrumented node's, has nil (no-op) handles.
 type nodeObs struct {
 	stabilizations *metrics.Counter   // dht_stabilize_rounds_total
 	lookupHops     *metrics.Counter   // dht_lookup_hops_total
@@ -92,7 +66,7 @@ func (n *Node) Instrument(reg *metrics.Registry, labels ...string) {
 	if reg == nil {
 		return
 	}
-	n.obs = &nodeObs{
+	n.obs = nodeObs{
 		stabilizations: reg.Counter("dht_stabilize_rounds_total", labels...),
 		lookupHops:     reg.Counter("dht_lookup_hops_total", labels...),
 		walkDepth:      reg.Histogram("dht_replica_walk_depth", []float64{1, 2, 3, 4, 6, 8, 12, 16}, labels...),

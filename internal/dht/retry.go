@@ -92,8 +92,9 @@ type RetryClient struct {
 	// Metrics counts attempts, retries and exhausted operations.
 	Metrics RetryMetrics
 
-	// obs is the optional per-op latency surface (see Instrument).
-	obs *rpcObs
+	// obs is the per-op latency surface (see Instrument); the zero
+	// value is untimed.
+	obs rpcObs
 }
 
 // NewRetryClient wraps inner with the given policy. The seed drives
@@ -144,16 +145,15 @@ func (c *RetryClient) nextDelay(retry int) time.Duration {
 
 // do runs op with retries. op must capture its own result variables and
 // issue its RPC under the span context it is handed, so each attempt's
-// transport span stitches under its attempt span. The latency span
-// covers the whole logical call: every attempt plus the backoff between
-// them; the causal "dht.op" span mirrors it on the trace side.
-func (c *RetryClient) do(sc obs.SpanContext, name string, op func(obs.SpanContext) error) error {
-	sp := c.obs.span(name)
-	defer sp.End()
-	osp := obs.StartSpan(sc, spanOp)
-	osp.AttrStr(attrOp, name)
-	err := c.attempts(&osp, name, op)
-	osp.EndErr(err)
+// transport span stitches under its attempt span. One "dht.op" span
+// covers the whole logical call — every attempt plus the backoff between
+// them — on both the trace side and op's latency histogram h.
+func (c *RetryClient) do(sc obs.SpanContext, name string, h *metrics.Histogram, op func(obs.SpanContext) error) error {
+	sp := obs.StartSpan(sc, spanOp)
+	sp.Timed(c.obs.clock, h)
+	sp.AttrStr(attrOp, name)
+	err := c.attempts(&sp, name, op)
+	sp.EndErr(err)
 	return err
 }
 
@@ -161,7 +161,7 @@ func (c *RetryClient) do(sc obs.SpanContext, name string, op func(obs.SpanContex
 // backoff budget — triggers a flight-recorder dump: the ring then holds
 // every attempt span of the doomed operation plus whatever else the
 // node was doing while it starved.
-func (c *RetryClient) attempts(osp *obs.TSpan, name string, op func(obs.SpanContext) error) error {
+func (c *RetryClient) attempts(osp *obs.Span, name string, op func(obs.SpanContext) error) error {
 	if c.policy.OpBudget < 0 {
 		// A negative budget can never be satisfied; treating it like
 		// "no budget" would silently retry forever under a policy that
@@ -201,7 +201,7 @@ func (c *RetryClient) attempts(osp *obs.TSpan, name string, op func(obs.SpanCont
 // FindSuccessor implements Client.
 func (c *RetryClient) FindSuccessor(sc obs.SpanContext, addr string, id ID) (NodeRef, error) {
 	var ref NodeRef
-	err := c.do(sc, "find_successor", func(asc obs.SpanContext) error {
+	err := c.do(sc, "find_successor", c.obs.find, func(asc obs.SpanContext) error {
 		var e error
 		ref, e = c.inner.FindSuccessor(asc, addr, id)
 		return e
@@ -212,7 +212,7 @@ func (c *RetryClient) FindSuccessor(sc obs.SpanContext, addr string, id ID) (Nod
 // Successors implements Client.
 func (c *RetryClient) Successors(sc obs.SpanContext, addr string) ([]NodeRef, error) {
 	var refs []NodeRef
-	err := c.do(sc, "successors", func(asc obs.SpanContext) error {
+	err := c.do(sc, "successors", c.obs.succ, func(asc obs.SpanContext) error {
 		var e error
 		refs, e = c.inner.Successors(asc, addr)
 		return e
@@ -224,7 +224,7 @@ func (c *RetryClient) Successors(sc obs.SpanContext, addr string) ([]NodeRef, er
 func (c *RetryClient) Predecessor(sc obs.SpanContext, addr string) (NodeRef, bool, error) {
 	var ref NodeRef
 	var ok bool
-	err := c.do(sc, "predecessor", func(asc obs.SpanContext) error {
+	err := c.do(sc, "predecessor", c.obs.pred, func(asc obs.SpanContext) error {
 		var e error
 		ref, ok, e = c.inner.Predecessor(asc, addr)
 		return e
@@ -234,14 +234,14 @@ func (c *RetryClient) Predecessor(sc obs.SpanContext, addr string) (NodeRef, boo
 
 // Notify implements Client.
 func (c *RetryClient) Notify(sc obs.SpanContext, addr string, self NodeRef) error {
-	return c.do(sc, "notify", func(asc obs.SpanContext) error { return c.inner.Notify(asc, addr, self) })
+	return c.do(sc, "notify", c.obs.notify, func(asc obs.SpanContext) error { return c.inner.Notify(asc, addr, self) })
 }
 
 // Ping implements Client. Liveness probes are how the ring *detects*
 // dead nodes, so a failed ping is not retried: stabilisation must see
 // the failure promptly and route around it.
 func (c *RetryClient) Ping(sc obs.SpanContext, addr string) error {
-	sp := c.obs.span("ping")
+	sp := obs.Timed(c.obs.clock, c.obs.ping)
 	defer sp.End()
 	c.Metrics.Attempts.Inc()
 	return c.inner.Ping(sc, addr)
@@ -249,13 +249,13 @@ func (c *RetryClient) Ping(sc obs.SpanContext, addr string) error {
 
 // Store implements Client.
 func (c *RetryClient) Store(sc obs.SpanContext, addr string, recs []StoredRecord, replicate bool) error {
-	return c.do(sc, "store", func(asc obs.SpanContext) error { return c.inner.Store(asc, addr, recs, replicate) })
+	return c.do(sc, "store", c.obs.store, func(asc obs.SpanContext) error { return c.inner.Store(asc, addr, recs, replicate) })
 }
 
 // Retrieve implements Client.
 func (c *RetryClient) Retrieve(sc obs.SpanContext, addr string, key ID) ([]StoredRecord, error) {
 	var recs []StoredRecord
-	err := c.do(sc, "retrieve", func(asc obs.SpanContext) error {
+	err := c.do(sc, "retrieve", c.obs.retrieve, func(asc obs.SpanContext) error {
 		var e error
 		recs, e = c.inner.Retrieve(asc, addr, key)
 		return e

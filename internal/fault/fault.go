@@ -76,8 +76,13 @@ func Terminal(err error) error {
 	return &terminalError{err: err}
 }
 
-// IsTerminal reports whether err was pinned with Terminal.
+// IsTerminal reports whether err was pinned with Terminal. The nil
+// check comes first: errors.As moves its target to the heap, and every
+// successful span end asks.
 func IsTerminal(err error) bool {
+	if err == nil {
+		return false
+	}
 	var t *terminalError
 	return errors.As(err, &t)
 }

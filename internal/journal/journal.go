@@ -88,6 +88,9 @@ func (c Config) withDefaults() Config {
 	if c.KeepSnapshots < 1 {
 		c.KeepSnapshots = 2
 	}
+	if c.Obs == nil {
+		c.Obs = &LogObs{}
+	}
 	return c
 }
 
@@ -180,20 +183,17 @@ func Open(dir string, cfg Config, state State) (*Log, RecoveryInfo, error) {
 		return nil, RecoveryInfo{}, fmt.Errorf("journal: %w", err)
 	}
 	l := &Log{dir: dir, cfg: cfg, state: state}
-	sp := cfg.Obs.spanRecovery()
 	// Recovery is a causal trace root of its own: crash-restart forensics
 	// start from "what did recovery replay, and how long did it take".
-	tsp := obs.StartRoot(spanRecover)
+	sp := obs.StartRoot(spanRecover)
+	sp.Timed(cfg.Obs.clock, cfg.Obs.recovery)
 	info, err := l.recover()
-	sp.End()
-	tsp.Attr(attrReplayed, int64(info.Replayed))
-	tsp.EndErr(err)
+	sp.Attr(attrReplayed, int64(info.Replayed))
+	sp.EndErr(err)
 	if err != nil {
 		return nil, info, err
 	}
-	if cfg.Obs != nil {
-		cfg.Obs.replayed.Add(info.Replayed)
-	}
+	cfg.Obs.replayed.Add(info.Replayed)
 	return l, info, nil
 }
 
@@ -424,16 +424,14 @@ func (l *Log) Append(payload []byte) error {
 	if l.f == nil {
 		return errors.New("journal: log is closed")
 	}
-	sp := l.cfg.Obs.spanAppend()
+	sp := obs.Timed(l.cfg.Obs.clock, l.cfg.Obs.appendLat)
 	defer sp.End()
 	if err := wire.WriteRecord(l.w, payload); err != nil {
 		return err
 	}
 	l.seq++
 	l.unsynced++
-	if l.cfg.Obs != nil {
-		l.cfg.Obs.appends.Inc()
-	}
+	l.cfg.Obs.appends.Inc()
 	if l.unsynced >= l.cfg.SyncEvery {
 		return l.Sync()
 	}
@@ -452,9 +450,7 @@ func (l *Log) Sync() error {
 		return err
 	}
 	l.unsynced = 0
-	if l.cfg.Obs != nil {
-		l.cfg.Obs.fsyncs.Inc()
-	}
+	l.cfg.Obs.fsyncs.Inc()
 	return nil
 }
 
@@ -493,10 +489,8 @@ func (l *Log) Snapshot() error {
 	copy(payload, snapMagic)
 	binary.BigEndian.PutUint64(payload[8:headerLen], l.seq)
 	copy(payload[headerLen:], blob)
-	if l.cfg.Obs != nil {
-		l.cfg.Obs.snapshots.Inc()
-		l.cfg.Obs.snapBytes.Observe(float64(len(payload)))
-	}
+	l.cfg.Obs.snapshots.Inc()
+	l.cfg.Obs.snapBytes.Observe(float64(len(payload)))
 
 	tmp := filepath.Join(l.dir, "snap.tmp")
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)

@@ -9,9 +9,10 @@ import (
 // the batched fsync when one lands on the call), fsync count, snapshot
 // size and count, and Open-time recovery cost. Threaded in through
 // Config.Obs so the instrumentation is chosen by whoever opens the log;
-// a nil observer costs one nil check per operation.
+// Open replaces a nil observer with the zero LogObs, whose nil handles
+// are no-ops and whose nil clock leaves spans untimed.
 type LogObs struct {
-	tracer    *obs.Tracer
+	clock     obs.Clock
 	appendLat *metrics.Histogram // journal_append_seconds
 	appends   *metrics.Counter   // journal_append_total
 	fsyncs    *metrics.Counter   // journal_fsync_total
@@ -32,7 +33,7 @@ func NewLogObs(reg *metrics.Registry, clock obs.Clock, labels ...string) *LogObs
 		return nil
 	}
 	return &LogObs{
-		tracer:    obs.NewTracer(clock),
+		clock:     clock,
 		appendLat: reg.Histogram("journal_append_seconds", metrics.DurationBuckets, labels...),
 		appends:   reg.Counter("journal_append_total", labels...),
 		fsyncs:    reg.Counter("journal_fsync_total", labels...),
@@ -41,18 +42,4 @@ func NewLogObs(reg *metrics.Registry, clock obs.Clock, labels ...string) *LogObs
 		recovery:  reg.Histogram("journal_recovery_seconds", metrics.DurationBuckets, labels...),
 		replayed:  reg.Counter("journal_replayed_events_total", labels...),
 	}
-}
-
-func (o *LogObs) spanAppend() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.appendLat)
-}
-
-func (o *LogObs) spanRecovery() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.tracer.Start(o.recovery)
 }

@@ -22,6 +22,7 @@ import (
 
 	"mdrep/internal/core"
 	"mdrep/internal/incentive"
+	"mdrep/internal/obs"
 	"mdrep/internal/sim"
 	"mdrep/internal/titfortat"
 )
@@ -295,7 +296,7 @@ type Sim struct {
 	log    []ratingRec // nil unless baselines collect
 	mirror *engineMirror
 
-	obs *simObs
+	obs simObs
 }
 
 // NewSim builds a simulator for the scenario. The scenario's Tune hook
@@ -477,7 +478,7 @@ func Run(cfg Config, scn Scenario) (*Result, error) {
 //mdrep:hotpath
 func (s *Sim) handleRequest(p int32) {
 	s.scheduleNext(p)
-	s.obs.request()
+	s.obs.reqC.Inc()
 	rng := &s.rng[p]
 	cls := s.class[p]
 	ag := s.agents[cls]
@@ -497,7 +498,7 @@ func (s *Sim) handleRequest(p int32) {
 	sag := s.agents[s.class[srv]]
 	if !sag.Admit(s, srv, p) {
 		s.denied[cls]++
-		s.obs.denied()
+		s.obs.denC.Inc()
 		return
 	}
 
@@ -514,7 +515,7 @@ func (s *Sim) handleRequest(p int32) {
 	}
 	if !authentic {
 		s.fakeGot[cls]++
-		s.obs.fake()
+		s.obs.fakeC.Inc()
 	}
 	if s.ledger != nil {
 		_ = s.ledger.RecordDownload(int(p), int(srv), 1)
@@ -572,7 +573,7 @@ func (s *Sim) Praise(rater, target int32) {
 		return
 	}
 	s.addRating(rater, target, true)
-	s.obs.praise()
+	s.obs.praiseC.Inc()
 }
 
 // judgeVersion is the honest judgement: score both versions of t by
@@ -645,7 +646,7 @@ func (s *Sim) ResetPeer(p int32) {
 	s.gen[p]++
 	s.rejoins++
 	s.recomputePeer(int(p))
-	s.obs.rejoin()
+	s.obs.rejC.Inc()
 }
 
 // recomputePeer re-derives rep and cred from the accumulators.
@@ -661,7 +662,7 @@ func (s *Sim) recomputePeer(j int) {
 // epochTick is the reputation epoch boundary: agent hooks, recompute,
 // trajectory recording, mirror flush, decay.
 func (s *Sim) epochTick(now time.Duration) {
-	span := s.obs.epochSpan()
+	span := obs.Timed(s.obs.clock, s.obs.epochH)
 	n := s.cfg.N
 	// Agent epoch hooks run first, reading last epoch's reputations
 	// and payoffs (whitewash rejoin decisions, strategic stance moves).
@@ -697,7 +698,7 @@ func (s *Sim) epochTick(now time.Duration) {
 	}
 	s.titles.decay(d)
 	s.epochsDone++
-	s.obs.epoch()
+	s.obs.epochC.Inc()
 	span.End()
 }
 

@@ -1,24 +1,22 @@
 package massim
 
 import (
-	"sync/atomic"
-
 	"mdrep/internal/metrics"
 	"mdrep/internal/obs"
 )
 
 // Instrumentation follows the sparse-kernel pattern: an atomically
 // installed package singleton so uninstrumented runs pay one pointer
-// load and a nil check per hot-path touch. Per-scenario series are
-// labelled, not per-instance, so a process running many scenarios
-// shares one registry.
+// load per run and then touch only the zero simObs's nil, no-op
+// handles. Per-scenario series are labelled, not per-instance, so a
+// process running many scenarios shares one registry.
 type massimObs struct {
-	tracer *obs.Tracer
-	reg    *metrics.Registry
-	epoch  *metrics.Histogram // epoch boundary processing time
+	clock obs.Clock
+	reg   *metrics.Registry
+	epoch *metrics.Histogram // epoch boundary processing time
 }
 
-var mobs atomic.Pointer[massimObs]
+var mobs obs.Slot[massimObs]
 
 // Instrument publishes massim metrics into reg, timed by clock. A nil
 // registry (or Uninstrument) turns instrumentation back off.
@@ -28,9 +26,9 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 		return
 	}
 	mobs.Store(&massimObs{
-		tracer: obs.NewTracer(clock),
-		reg:    reg,
-		epoch:  reg.Histogram("massim_epoch_seconds", metrics.DurationBuckets),
+		clock: clock,
+		reg:   reg,
+		epoch: reg.Histogram("massim_epoch_seconds", metrics.DurationBuckets),
 	})
 }
 
@@ -38,12 +36,14 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 func Uninstrument() { mobs.Store(nil) }
 
 // simObs is one run's view of the singleton: it caches the per-scenario
-// counters so the hot path does no name lookups.
+// counters so the hot path does no name lookups. The zero simObs is an
+// uninstrumented run's.
 type simObs struct {
+	clock                 obs.Clock
+	epochH                *metrics.Histogram
 	reqC, denC, fakeC     *metrics.Counter
 	praiseC, rejC, epochC *metrics.Counter
 	passC, failC          *metrics.Counter
-	root                  *massimObs
 }
 
 // scenarioLabel canonicalises a scenario name into the finite label set
@@ -62,12 +62,14 @@ func scenarioLabel(name string) string {
 
 // newSimObs caches one run's counters; scenario must already be
 // canonicalised through scenarioLabel.
-func newSimObs(scenario string) *simObs {
+func newSimObs(scenario string) simObs {
 	m := mobs.Load()
-	if m == nil {
-		return nil
+	if m.reg == nil {
+		return simObs{}
 	}
-	return &simObs{
+	return simObs{
+		clock:   m.clock,
+		epochH:  m.epoch,
 		reqC:    m.reg.Counter("massim_requests_total", "scenario", scenario),
 		denC:    m.reg.Counter("massim_denied_total", "scenario", scenario),
 		fakeC:   m.reg.Counter("massim_fake_downloads_total", "scenario", scenario),
@@ -76,60 +78,5 @@ func newSimObs(scenario string) *simObs {
 		epochC:  m.reg.Counter("massim_epochs_total", "scenario", scenario),
 		passC:   m.reg.Counter("massim_verdict_pass_total", "scenario", scenario),
 		failC:   m.reg.Counter("massim_verdict_fail_total", "scenario", scenario),
-		root:    m,
-	}
-}
-
-func (o *simObs) request() {
-	if o != nil {
-		o.reqC.Inc()
-	}
-}
-
-func (o *simObs) denied() {
-	if o != nil {
-		o.denC.Inc()
-	}
-}
-
-func (o *simObs) fake() {
-	if o != nil {
-		o.fakeC.Inc()
-	}
-}
-
-func (o *simObs) praise() {
-	if o != nil {
-		o.praiseC.Inc()
-	}
-}
-
-func (o *simObs) rejoin() {
-	if o != nil {
-		o.rejC.Inc()
-	}
-}
-
-func (o *simObs) epoch() {
-	if o != nil {
-		o.epochC.Inc()
-	}
-}
-
-func (o *simObs) epochSpan() obs.Span {
-	if o == nil {
-		return obs.Span{}
-	}
-	return o.root.tracer.Start(o.root.epoch)
-}
-
-func (o *simObs) verdict(pass bool) {
-	if o == nil {
-		return
-	}
-	if pass {
-		o.passC.Inc()
-	} else {
-		o.failC.Inc()
 	}
 }

@@ -127,7 +127,11 @@ func (s *Sim) Finish() (*Result, error) {
 		r.Baselines = b
 	}
 	r.Verdict = s.scn.Verdict(r)
-	s.obs.verdict(r.Verdict.Pass)
+	if r.Verdict.Pass {
+		s.obs.passC.Inc()
+	} else {
+		s.obs.failC.Inc()
+	}
 	return r, nil
 }
 

@@ -10,7 +10,9 @@ import (
 // Counter is a monotonically increasing, concurrency-safe event counter.
 // The resilience layer threads counters through its decorators (retries,
 // injected drops, local-view fallbacks) so tests and operators can assert
-// on what the transport actually did, not just its end result.
+// on what the transport actually did, not just its end result. A nil
+// *Counter is a disabled handle: updates are no-ops and Load returns 0,
+// so a disabled observer is just one whose handles are nil.
 type Counter struct {
 	v atomic.Uint64
 }
@@ -18,18 +20,35 @@ type Counter struct {
 // Inc adds one.
 //
 //mdrep:hotpath
-func (c *Counter) Inc() { c.v.Add(1) }
+func (c *Counter) Inc() {
+	if c != nil {
+		c.v.Add(1)
+	}
+}
 
 // Add adds n.
 //
 //mdrep:hotpath
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
+func (c *Counter) Add(n uint64) {
+	if c != nil {
+		c.v.Add(n)
+	}
+}
 
 // Load returns the current count.
-func (c *Counter) Load() uint64 { return c.v.Load() }
+func (c *Counter) Load() uint64 {
+	if c == nil {
+		return 0
+	}
+	return c.v.Load()
+}
 
 // Reset zeroes the counter.
-func (c *Counter) Reset() { c.v.Store(0) }
+func (c *Counter) Reset() {
+	if c != nil {
+		c.v.Store(0)
+	}
+}
 
 // FormatCounters renders a name→count map as a stable, sorted one-line
 // summary ("drops=3 retries=7"), for logs and test failure messages.

@@ -16,7 +16,8 @@ import (
 //
 // Bucket bounds are fixed at construction. The registry guarantees every
 // histogram in a family shares the same bounds, so exported series are
-// aggregatable.
+// aggregatable. A nil *Histogram is a disabled handle: Observe is a
+// no-op, Count and Sum return 0, and Snapshot is empty.
 type Histogram struct {
 	bounds []float64       // ascending upper bounds, excluding +Inf
 	counts []atomic.Uint64 // len(bounds)+1; last is the +Inf bucket
@@ -45,6 +46,9 @@ func newHistogram(bounds []float64) *Histogram {
 //
 //mdrep:hotpath
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
@@ -61,10 +65,20 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.total.Load() }
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.total.Load()
+}
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sum.Load())
+}
 
 // HistogramSnapshot is a consistent-enough point-in-time copy for export:
 // per-bucket counts (last entry is +Inf), total, and sum. Concurrent
@@ -79,6 +93,9 @@ type HistogramSnapshot struct {
 
 // Snapshot copies the histogram state.
 func (h *Histogram) Snapshot() HistogramSnapshot {
+	if h == nil {
+		return HistogramSnapshot{}
+	}
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,36 @@ func TestHotPathZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(1000, func() { g.Add(1) }); n != 0 {
 		t.Errorf("Gauge.Add allocates %v bytes/op", n)
+	}
+}
+
+// Nil handles are the disabled observer: every update is a no-op, every
+// read is zero, and none of it allocates — instrumented packages call
+// the handles of a zero-value observer directly.
+func TestNilHandlesAreNoOps(t *testing.T) {
+	var (
+		c *Counter
+		g *Gauge
+		h *Histogram
+	)
+	if n := testing.AllocsPerRun(1000, func() {
+		c.Inc()
+		c.Add(3)
+		c.Reset()
+		g.Set(2)
+		g.Add(1)
+		h.Observe(0.5)
+	}); n != 0 {
+		t.Errorf("nil handle updates allocate %v times/op", n)
+	}
+	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Sum() != 0 {
+		t.Errorf("nil handles read %d, %v, %d, %v; want zeros", c.Load(), g.Load(), h.Count(), h.Sum())
+	}
+	if s := h.Snapshot(); s.Count != 0 || len(s.Counts) != 0 {
+		t.Errorf("nil histogram snapshot = %+v, want empty", s)
+	}
+	if q := h.Quantile(0.5); !math.IsNaN(q) {
+		t.Errorf("nil histogram quantile = %v, want NaN", q)
 	}
 }
 

@@ -1,17 +1,17 @@
-// Package obs is the tracing side of the observability layer: spans that
-// time a region of code into a metrics.Histogram, built around an
-// injectable clock so the deterministic packages (core, sparse, journal,
-// dht, peer — see the wallclock analyzer) never read wall time
-// themselves. Binaries construct tracers with obs.WallClock; tests and
-// simulations inject a virtual clock; a nil *Tracer disables timing
-// entirely at the cost of one branch, which is how instrumentation stays
-// out of the replay-determinism and benchmark budgets when unused.
+// Package obs is the tracing side of the observability layer: one span
+// type (Span) that can time a region into a metrics.Histogram, record a
+// causal span into the flight ring, or both, built around injectable
+// clocks so the deterministic packages (core, sparse, journal, dht,
+// peer — see the wallclock analyzer) never read wall time themselves.
+// Binaries pass obs.WallClock; tests and simulations inject a virtual
+// clock; a nil clock or nil histogram leaves the timing side inert at
+// the cost of one branch, which is how instrumentation stays out of the
+// replay-determinism and benchmark budgets when unused.
 package obs
 
 import (
+	"sync/atomic"
 	"time"
-
-	"mdrep/internal/metrics"
 )
 
 // Clock supplies the current time. The deterministic packages must only
@@ -22,62 +22,22 @@ type Clock func() time.Time
 // WallClock is the real-time clock for daemons and command-line tools.
 func WallClock() time.Time { return time.Now() }
 
-// Tracer stamps spans with a clock. The zero of *Tracer (nil) is a valid
-// disabled tracer: Start returns an inert span and End does nothing.
-type Tracer struct {
-	clock Clock
+// Slot holds a package's atomically installed observer. Load never
+// returns nil: an empty slot yields a pointer to T's zero value — the
+// disabled observer, whose nil metric handles are no-ops — so call
+// sites use the handles without checking.
+type Slot[T any] struct {
+	p    atomic.Pointer[T]
+	zero T
 }
 
-// NewTracer builds a tracer on the given clock. A nil clock yields a
-// disabled tracer.
-func NewTracer(clock Clock) *Tracer {
-	if clock == nil {
-		return nil
+// Load returns the installed observer, or the zero observer.
+func (s *Slot[T]) Load() *T {
+	if p := s.p.Load(); p != nil {
+		return p
 	}
-	return &Tracer{clock: clock}
+	return &s.zero
 }
 
-// Span is an in-flight timed region. It is a value type with no
-// allocation: `defer tr.Start(h).End()` costs two clock reads and one
-// histogram observation.
-type Span struct {
-	clock Clock
-	start time.Time
-	hist  *metrics.Histogram
-}
-
-// Start opens a span that will observe its duration, in seconds, into h
-// when ended. On a nil tracer or nil histogram the span is inert.
-func (t *Tracer) Start(h *metrics.Histogram) Span {
-	if t == nil || h == nil {
-		return Span{}
-	}
-	return Span{clock: t.clock, start: t.clock(), hist: h}
-}
-
-// End closes the span, recording elapsed seconds.
-func (s Span) End() {
-	if s.hist == nil {
-		return
-	}
-	s.hist.Observe(s.clock().Sub(s.start).Seconds())
-}
-
-// Now exposes the tracer's clock for call sites that need a raw
-// timestamp (e.g. to time across goroutine boundaries). Returns the zero
-// time on a nil tracer.
-func (t *Tracer) Now() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.clock()
-}
-
-// SinceSeconds returns seconds elapsed from start on the tracer's clock,
-// 0 on a nil tracer.
-func (t *Tracer) SinceSeconds(start time.Time) float64 {
-	if t == nil {
-		return 0
-	}
-	return t.clock().Sub(start).Seconds()
-}
+// Store installs p; nil uninstalls.
+func (s *Slot[T]) Store(p *T) { s.p.Store(p) }

@@ -1,12 +1,12 @@
-// Causal tracing: real spans with trace/span/parent IDs on top of the
-// histogram-only obs.Span. A TSpan names one region of one request,
-// carries a bounded set of attributes, classifies its ending through
-// the internal/fault taxonomy, and streams its record into the flight
-// recorder ring (internal/flight) when it ends. Span contexts thread
-// explicitly through call chains (Go has no ambient request context in
-// this codebase's deterministic core) and cross process boundaries as
-// a wire.TraceContext header, so one walk estimate stitches into one
-// tree of estimator → row-fetch → retry-attempt → DHT-RPC spans.
+// Causal tracing: spans with trace/span/parent IDs. A causal Span names
+// one region of one request, carries a bounded set of attributes,
+// classifies its ending through the internal/fault taxonomy, and
+// streams its record into the flight recorder ring (internal/flight)
+// when it ends. Span contexts thread explicitly through call chains
+// (Go has no ambient request context in this codebase's deterministic
+// core) and cross process boundaries as a wire.TraceContext header, so
+// one walk estimate stitches into one tree of estimator → row-fetch →
+// retry-attempt → DHT-RPC spans.
 //
 // Determinism contract: tracing draws no randomness from any shared
 // stream (IDs come from a private splitmix64 counter), never advances
@@ -22,6 +22,7 @@ import (
 
 	"mdrep/internal/fault"
 	"mdrep/internal/flight"
+	"mdrep/internal/metrics"
 	"mdrep/internal/wire"
 )
 
@@ -130,12 +131,21 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// TSpan is one in-flight causal span. The zero TSpan is inert: every
-// method is a cheap no-op, which is how disabled tracing and
-// sampled-out traces cost one branch per call site. TSpan is used by
-// pointer so attribute stores do not copy; it must not escape the
-// request that created it.
-type TSpan struct {
+// Span is one in-flight span with two independent sides. The causal
+// side (StartRoot/StartChild/StartSpan) carries trace IDs and bounded
+// attributes, reads the trace sink's clock, and records into the
+// flight ring when it ends. The histogram side (Timed) observes the
+// elapsed seconds, read on the instrumenting package's injected clock,
+// into one metrics.Histogram. A span opened by the package-level Timed
+// is histogram-only: it never draws a trace ID and never touches the
+// flight ring, so hot paths such as journal appends and sparse kernels
+// cannot evict RPC spans from the ring.
+//
+// The zero Span is inert: every method is a cheap no-op, which is how
+// disabled tracing, sampled-out traces and disabled observers cost one
+// branch per call site. Span is used by pointer so attribute stores do
+// not copy; it must not escape the request that created it.
+type Span struct {
 	sink   *TraceSink
 	sc     SpanContext
 	parent uint64
@@ -143,22 +153,44 @@ type TSpan struct {
 	start  time.Time
 	nattr  int
 	attrs  [flight.MaxAttrs]flight.Attr
+
+	clock  Clock // histogram side; nil when untimed
+	hist   *metrics.Histogram
+	hstart time.Time
+}
+
+// Timed opens a histogram-only span: End observes its duration, in
+// seconds on clock, into h. A nil clock or nil h yields an inert span.
+func Timed(clock Clock, h *metrics.Histogram) Span {
+	var s Span
+	s.Timed(clock, h)
+	return s
+}
+
+// Timed adds the histogram side to a span, starting it now on clock;
+// End then also observes the duration into h. A nil clock or nil h
+// leaves the span untimed.
+func (t *Span) Timed(clock Clock, h *metrics.Histogram) {
+	if clock == nil || h == nil {
+		return
+	}
+	t.clock, t.hist, t.hstart = clock, h, clock()
 }
 
 // StartRoot opens a new trace. When the sink samples the trace out (or
 // tracing is disabled after IDs were drawn), the returned span records
 // nothing but still carries an unsampled context, so downstream
 // children inherit the decision instead of re-rooting.
-func StartRoot(name string) TSpan {
+func StartRoot(name string) Span {
 	s := tracing.Load()
 	if s == nil {
-		return TSpan{}
+		return Span{}
 	}
 	trace := s.nextID()
 	if !s.sampledTrace(trace) {
-		return TSpan{sc: SpanContext{Trace: trace, Span: trace, Sampled: false}}
+		return Span{sc: SpanContext{Trace: trace, Span: trace, Sampled: false}}
 	}
-	return TSpan{
+	return Span{
 		sink:  s,
 		sc:    SpanContext{Trace: trace, Span: trace, Sampled: true},
 		name:  name,
@@ -168,18 +200,18 @@ func StartRoot(name string) TSpan {
 
 // StartChild opens a span under parent. An invalid parent yields an
 // inert span; an unsampled parent propagates its context unrecorded.
-func StartChild(parent SpanContext, name string) TSpan {
+func StartChild(parent SpanContext, name string) Span {
 	if !parent.Valid() {
-		return TSpan{}
+		return Span{}
 	}
 	if !parent.Sampled {
-		return TSpan{sc: parent}
+		return Span{sc: parent}
 	}
 	s := tracing.Load()
 	if s == nil {
-		return TSpan{sc: parent}
+		return Span{sc: parent}
 	}
-	return TSpan{
+	return Span{
 		sink:   s,
 		sc:     SpanContext{Trace: parent.Trace, Span: s.nextID(), Sampled: true},
 		parent: parent.Span,
@@ -192,7 +224,7 @@ func StartChild(parent SpanContext, name string) TSpan {
 // context, a fresh root otherwise. Transport servers and shared
 // plumbing use it so untraced maintenance traffic still feeds the
 // always-on flight ring as roots of its own.
-func StartSpan(parent SpanContext, name string) TSpan {
+func StartSpan(parent SpanContext, name string) Span {
 	if parent.Valid() {
 		return StartChild(parent, name)
 	}
@@ -201,16 +233,16 @@ func StartSpan(parent SpanContext, name string) TSpan {
 
 // Context returns the span's context for propagation to children and
 // across the wire.
-func (t *TSpan) Context() SpanContext { return t.sc }
+func (t *Span) Context() SpanContext { return t.sc }
 
 // Recording reports whether End will emit a record.
-func (t *TSpan) Recording() bool { return t.sink != nil }
+func (t *Span) Recording() bool { return t.sink != nil }
 
 // Attr attaches an integer attribute. Keys must come from package
 // const tables (enforced by the metriclabel analyzer) so trace
 // cardinality stays bounded; values are free. Attributes beyond
 // flight.MaxAttrs are dropped.
-func (t *TSpan) Attr(key string, val int64) {
+func (t *Span) Attr(key string, val int64) {
 	if t.sink == nil || t.nattr >= flight.MaxAttrs {
 		return
 	}
@@ -221,7 +253,7 @@ func (t *TSpan) Attr(key string, val int64) {
 // AttrStr attaches a string attribute; same key discipline as Attr.
 // Values longer than the flight ring's packed window are truncated at
 // record time.
-func (t *TSpan) AttrStr(key, val string) {
+func (t *Span) AttrStr(key, val string) {
 	if t.sink == nil || t.nattr >= flight.MaxAttrs {
 		return
 	}
@@ -230,7 +262,7 @@ func (t *TSpan) AttrStr(key, val string) {
 }
 
 // Event drops a point-in-time marker inside the span.
-func (t *TSpan) Event(name string) {
+func (t *Span) Event(name string) {
 	if t.sink == nil {
 		return
 	}
@@ -247,13 +279,18 @@ func (t *TSpan) Event(name string) {
 }
 
 // End finishes the span successfully.
-func (t *TSpan) End() { t.EndErr(nil) }
+func (t *Span) End() { t.EndErr(nil) }
 
-// EndErr finishes the span with err's fault classification, emits its
-// record into the flight ring, and — when err is fault.Terminal —
+// EndErr finishes the span: observes its duration into the histogram
+// side, if timed, and, if recording, emits its record with err's fault
+// classification into the flight ring, and — when err is fault.Terminal —
 // triggers a black-box dump so the ring's view of the moments before
 // the fault is preserved. Idempotent: later calls are no-ops.
-func (t *TSpan) EndErr(err error) {
+func (t *Span) EndErr(err error) {
+	if h := t.hist; h != nil {
+		t.hist = nil
+		h.Observe(t.clock().Sub(t.hstart).Seconds())
+	}
 	s := t.sink
 	if s == nil {
 		return

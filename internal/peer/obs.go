@@ -9,7 +9,8 @@ import (
 // ExchangeObs counts evaluation-exchange traffic: bytes on the wire in
 // each direction plus fetch/serve call counts. One observer can be
 // shared by the TCP client and server of a process so the exported
-// series cover all exchange traffic.
+// series cover all exchange traffic. The zero ExchangeObs, which
+// Instrument(nil) attaches, has nil (no-op) handles.
 type ExchangeObs struct {
 	bytesIn  *metrics.Counter // peer_exchange_bytes_total{dir="in"}
 	bytesOut *metrics.Counter // peer_exchange_bytes_total{dir="out"}
@@ -31,41 +32,20 @@ func NewExchangeObs(reg *metrics.Registry) *ExchangeObs {
 	}
 }
 
-// wrap decorates conn so reads and writes tally into the observer; a nil
-// observer returns conn unchanged.
-func (o *ExchangeObs) wrap(conn net.Conn) net.Conn {
-	if o == nil {
-		return conn
-	}
-	return countingConn{Conn: conn, obs: o}
-}
-
-func (o *ExchangeObs) countFetch() {
-	if o != nil {
-		o.fetches.Inc()
-	}
-}
-
-func (o *ExchangeObs) countServe() {
-	if o != nil {
-		o.serves.Inc()
-	}
-}
-
 // countingConn tallies wire traffic around an inner net.Conn.
 type countingConn struct {
 	net.Conn
-	obs *ExchangeObs
+	in, out *metrics.Counter
 }
 
 func (c countingConn) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
-	c.obs.bytesIn.Add(uint64(n))
+	c.in.Add(uint64(n))
 	return n, err
 }
 
 func (c countingConn) Write(p []byte) (int, error) {
 	n, err := c.Conn.Write(p)
-	c.obs.bytesOut.Add(uint64(n))
+	c.out.Add(uint64(n))
 	return n, err
 }

@@ -72,15 +72,15 @@ func TestExchangeUninstrumented(t *testing.T) {
 	}
 	// A nil observer must be inert end to end.
 	var o *ExchangeObs
-	o.countFetch()
-	o.countServe()
 	resolver := NewStaticResolver()
 	network := NewTCPExchange(resolver)
+	network.Instrument(o)
 	srv, err := ServeExchange("127.0.0.1:0", func() ([]eval.Info, error) { return nil, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer func() { _ = srv.Close() }()
+	srv.Instrument(o)
 	resolver.Set("ghost", srv.Addr())
 	if _, err := network.FetchEvaluations(obs.SpanContext{}, "ghost"); err != nil {
 		t.Fatal(err)

@@ -76,12 +76,17 @@ type TCPExchange struct {
 	// DialTimeout and CallTimeout bound each fetch.
 	DialTimeout, CallTimeout time.Duration
 
-	obs *ExchangeObs
+	obs ExchangeObs
 }
 
-// Instrument counts fetches and wire bytes into o. Call before the
-// exchange is shared across goroutines.
-func (e *TCPExchange) Instrument(o *ExchangeObs) { e.obs = o }
+// Instrument counts fetches and wire bytes into o; nil detaches. Call
+// before the exchange is shared across goroutines.
+func (e *TCPExchange) Instrument(o *ExchangeObs) {
+	e.obs = ExchangeObs{}
+	if o != nil {
+		e.obs = *o
+	}
+}
 
 // NewTCPExchange returns a client with 2s dial and 5s call timeouts.
 func NewTCPExchange(resolver Resolver) *TCPExchange {
@@ -104,8 +109,8 @@ func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerI
 		return nil, fault.Unreachable(fmt.Errorf("peer: dial %s (%s): %w", target, addr, err))
 	}
 	defer func() { _ = raw.Close() }()
-	e.obs.countFetch()
-	conn := e.obs.wrap(raw)
+	e.obs.fetches.Inc()
+	conn := countingConn{Conn: raw, in: e.obs.bytesIn, out: e.obs.bytesOut}
 	if err := conn.SetDeadline(time.Now().Add(e.CallTimeout)); err != nil { //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
 		return nil, err
 	}
@@ -130,7 +135,7 @@ type ExchangeServer struct {
 	source   func() ([]eval.Info, error)
 
 	mu      sync.Mutex
-	obs     *ExchangeObs
+	obs     ExchangeObs
 	conns   map[net.Conn]struct{}
 	closing bool
 	wg      sync.WaitGroup
@@ -141,7 +146,10 @@ type ExchangeServer struct {
 func (s *ExchangeServer) Instrument(o *ExchangeObs) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.obs = o
+	s.obs = ExchangeObs{}
+	if o != nil {
+		s.obs = *o
+	}
 }
 
 // ServeExchange listens on addr (":0" for ephemeral) and serves the
@@ -205,8 +213,8 @@ func (s *ExchangeServer) serveConn(raw net.Conn) {
 	s.mu.Lock()
 	o := s.obs
 	s.mu.Unlock()
-	o.countServe()
-	conn := o.wrap(raw)
+	o.serves.Inc()
+	conn := countingConn{Conn: raw, in: o.bytesIn, out: o.bytesOut}
 	var req exchangeRequest
 	if err := wire.ReadFrame(conn, &req); err != nil {
 		return

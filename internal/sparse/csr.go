@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+
+	"mdrep/internal/obs"
 )
 
 // CSR is an immutable n×n sparse matrix in compressed-sparse-row form:
@@ -57,7 +59,8 @@ func (m *Matrix) Freeze() *CSR {
 // (6) need.
 func FreezeNormalized(n int, rows []map[int]float64) *CSR {
 	ko := kobs.Load()
-	defer ko.spanFreeze().End()
+	sp := obs.Timed(ko.clock, ko.freeze)
+	defer sp.End()
 	type rowPlan struct {
 		cols []int
 		sum  float64
@@ -297,7 +300,8 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 		return nil, fmt.Errorf("sparse: dimension mismatch %d vs %d", c.n, other.n)
 	}
 	ko := kobs.Load()
-	defer ko.spanMul().End()
+	sp := obs.Timed(ko.clock, ko.mul)
+	defer sp.End()
 	rowsCols := make([][]int32, c.n)
 	rowsVals := make([][]float64, c.n)
 	parallelRowBlocksScratch(c.n, func(s *rowScratch, lo, hi int) {
@@ -319,7 +323,8 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 			rows++
 			rowsCols[i], rowsVals[i] = s.collect(false)
 		}
-		ko.addWork(rows, nnz)
+		ko.rows.Add(rows)
+		ko.nnz.Add(nnz)
 	})
 	return assemble(c.n, rowsCols, rowsVals), nil
 }
@@ -378,7 +383,7 @@ func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 	vals := append([]float64(nil), curVals...)
 	s := newRowScratch(c.n)
 	for step := 1; step < k; step++ {
-		sp := ko.spanStep()
+		sp := obs.Timed(ko.clock, ko.step)
 		s.reset()
 		var nnz uint64
 		for a, mid := range cols {
@@ -393,7 +398,8 @@ func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 			nnz += uint64(len(mcols))
 		}
 		cols, vals = s.collect(false)
-		ko.addWork(1, nnz)
+		ko.rows.Inc()
+		ko.nnz.Add(nnz)
 		sp.End()
 	}
 	out := make(map[int]float64, len(cols))

@@ -1,8 +1,6 @@
 package sparse
 
 import (
-	"sync/atomic"
-
 	"mdrep/internal/metrics"
 	"mdrep/internal/obs"
 )
@@ -10,12 +8,13 @@ import (
 // Kernel instrumentation. The kernels are package-level functions with
 // no construction point to thread an observer through, so the observer
 // is an atomically installed package singleton: Instrument publishes it,
-// uninstrumented processes pay one atomic pointer load and a nil check
-// per kernel call (not per row). Counters accumulate per row block and
-// are flushed once per block, keeping the inner FMA loops untouched —
-// instrumentation must not move the BuildTM benchmarks.
+// uninstrumented processes pay one atomic pointer load per kernel call
+// (not per row) and then call the zero observer's nil, no-op handles.
+// Counters accumulate per row block and are flushed once per block,
+// keeping the inner FMA loops untouched — instrumentation must not move
+// the BuildTM benchmarks.
 type kernelObs struct {
-	tracer *obs.Tracer
+	clock  obs.Clock
 	freeze *metrics.Histogram // FreezeNormalized wall time
 	mul    *metrics.Histogram // one CSR·CSR product
 	step   *metrics.Histogram // one RowVecPow power-iteration step
@@ -23,7 +22,7 @@ type kernelObs struct {
 	nnz    *metrics.Counter   // nonzero products processed
 }
 
-var kobs atomic.Pointer[kernelObs]
+var kobs obs.Slot[kernelObs]
 
 // Instrument publishes kernel metrics into reg, timed by clock. Passing
 // a nil registry (or Uninstrument) turns instrumentation back off.
@@ -33,7 +32,7 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 		return
 	}
 	kobs.Store(&kernelObs{
-		tracer: obs.NewTracer(clock),
+		clock:  clock,
 		freeze: reg.Histogram("sparse_freeze_seconds", metrics.DurationBuckets),
 		mul:    reg.Histogram("sparse_mul_seconds", metrics.DurationBuckets),
 		step:   reg.Histogram("sparse_rowvecpow_step_seconds", metrics.DurationBuckets),
@@ -44,34 +43,3 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 
 // Uninstrument disables kernel instrumentation.
 func Uninstrument() { kobs.Store(nil) }
-
-// The span helpers are nil-safe: a nil observer yields an inert span.
-func (k *kernelObs) spanFreeze() obs.Span {
-	if k == nil {
-		return obs.Span{}
-	}
-	return k.tracer.Start(k.freeze)
-}
-
-func (k *kernelObs) spanMul() obs.Span {
-	if k == nil {
-		return obs.Span{}
-	}
-	return k.tracer.Start(k.mul)
-}
-
-func (k *kernelObs) spanStep() obs.Span {
-	if k == nil {
-		return obs.Span{}
-	}
-	return k.tracer.Start(k.step)
-}
-
-// addWork flushes one block's row/nnz tallies.
-func (k *kernelObs) addWork(rows, nnz uint64) {
-	if k == nil {
-		return
-	}
-	k.rows.Add(rows)
-	k.nnz.Add(nnz)
-}

@@ -183,7 +183,7 @@ func (s *DHTSource) SetEpoch(epoch uint64) {
 	s.epoch = epoch
 	s.cache = make(map[int]*list.Element, s.cap)
 	s.order.Init()
-	wobs.Load().setCacheSize(0)
+	wobs.Load().cacheLen.Set(0)
 }
 
 // Row implements RowSource. A missing or stale-epoch record is
@@ -198,15 +198,17 @@ func (s *DHTSource) Row(sc obs.SpanContext, user int) ([]int32, []float64, error
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if el, ok := s.cache[user]; ok {
-		wo.countHit()
+		wo.hits.Inc()
+		wo.updateHitRatio()
 		s.order.MoveToFront(el)
 		e := el.Value.(*cacheEntry)
 		return e.cols, e.vals, nil
 	}
-	wo.countMiss()
+	wo.misses.Inc()
+	wo.updateHitRatio()
 	cols, vals, err := s.fetchRow(sc, user, wo)
 	if err != nil {
-		wo.countFetchErr()
+		wo.fetchErr.Inc()
 		return nil, nil, err
 	}
 	s.cache[user] = s.order.PushFront(&cacheEntry{user: user, cols: cols, vals: vals})
@@ -214,9 +216,9 @@ func (s *DHTSource) Row(sc obs.SpanContext, user int) ([]int32, []float64, error
 		oldest := s.order.Back()
 		s.order.Remove(oldest)
 		delete(s.cache, oldest.Value.(*cacheEntry).user)
-		wo.countEvicted()
+		wo.evicted.Inc()
 	}
-	wo.setCacheSize(s.order.Len())
+	wo.cacheLen.Set(float64(s.order.Len()))
 	return cols, vals, nil
 }
 
@@ -224,12 +226,11 @@ func (s *DHTSource) Row(sc obs.SpanContext, user int) ([]int32, []float64, error
 // "walk.row_fetch" span on the estimate's trace, parenting the DHT
 // retrieve and its retry attempts. Called with the cache mutex held.
 func (s *DHTSource) fetchRow(sc obs.SpanContext, user int, wo *walkObs) (cols []int32, vals []float64, err error) {
-	sp := wo.spanFetch()
-	tsp := obs.StartChild(sc, spanRowFetch)
-	tsp.Attr(attrUser, int64(user))
-	defer func() { tsp.EndErr(err) }()
-	recs, err := s.fetcher.Retrieve(tsp.Context(), RowKey(user))
-	sp.End()
+	sp := obs.StartChild(sc, spanRowFetch)
+	sp.Timed(wo.clock, wo.fetch)
+	sp.Attr(attrUser, int64(user))
+	defer func() { sp.EndErr(err) }()
+	recs, err := s.fetcher.Retrieve(sp.Context(), RowKey(user))
 	if err != nil {
 		return nil, nil, fmt.Errorf("walk: fetch row %d: %w", user, err)
 	}

@@ -1,19 +1,17 @@
 package walk
 
 import (
-	"sync/atomic"
-
 	"mdrep/internal/metrics"
 	"mdrep/internal/obs"
 )
 
 // Walk instrumentation follows the sparse-kernel pattern: an atomically
 // installed package singleton so un-instrumented estimators pay one
-// pointer load and a nil check per estimate (not per step). Counters
-// accumulate per estimate and flush once, keeping the per-step sampling
-// loop untouched.
+// pointer load per estimate (not per step) and then call the zero
+// observer's nil, no-op handles. Counters accumulate per estimate and
+// flush once, keeping the per-step sampling loop untouched.
 type walkObs struct {
-	tracer   *obs.Tracer
+	clock    obs.Clock
 	estimate *metrics.Histogram // one full walk ensemble
 	fetch    *metrics.Histogram // one DHT row fetch (cache misses only)
 	walks    *metrics.Counter   // walks launched
@@ -29,7 +27,7 @@ type walkObs struct {
 	hitRatio *metrics.Gauge     // hits / (hits + misses), derived on update
 }
 
-var wobs atomic.Pointer[walkObs]
+var wobs obs.Slot[walkObs]
 
 // Instrument publishes walk metrics into reg, timed by clock. A nil
 // registry (or Uninstrument) turns instrumentation back off.
@@ -39,7 +37,7 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 		return
 	}
 	wobs.Store(&walkObs{
-		tracer:   obs.NewTracer(clock),
+		clock:    clock,
 		estimate: reg.Histogram("walk_estimate_seconds", metrics.DurationBuckets),
 		fetch:    reg.Histogram("walk_row_fetch_seconds", metrics.DurationBuckets),
 		walks:    reg.Counter("walk_walks_total"),
@@ -59,61 +57,6 @@ func Instrument(reg *metrics.Registry, clock obs.Clock) {
 // Uninstrument disables walk instrumentation.
 func Uninstrument() { wobs.Store(nil) }
 
-// The helpers are nil-safe: a nil observer yields inert spans and no-ops.
-func (w *walkObs) spanEstimate() obs.Span {
-	if w == nil {
-		return obs.Span{}
-	}
-	return w.tracer.Start(w.estimate)
-}
-
-func (w *walkObs) spanFetch() obs.Span {
-	if w == nil {
-		return obs.Span{}
-	}
-	return w.tracer.Start(w.fetch)
-}
-
-// addWalkWork flushes one estimate's ensemble tallies.
-func (w *walkObs) addWalkWork(walks, steps, died uint64) {
-	if w == nil {
-		return
-	}
-	w.walks.Add(walks)
-	w.steps.Add(steps)
-	w.died.Add(died)
-}
-
-func (w *walkObs) countEstimate() {
-	if w == nil {
-		return
-	}
-	w.done.Inc()
-}
-
-func (w *walkObs) countAborted() {
-	if w == nil {
-		return
-	}
-	w.aborted.Inc()
-}
-
-func (w *walkObs) countHit() {
-	if w == nil {
-		return
-	}
-	w.hits.Inc()
-	w.updateHitRatio()
-}
-
-func (w *walkObs) countMiss() {
-	if w == nil {
-		return
-	}
-	w.misses.Inc()
-	w.updateHitRatio()
-}
-
 // updateHitRatio derives hits/(hits+misses) so cache effectiveness is a
 // scrapeable gauge instead of two counters to divide by hand.
 func (w *walkObs) updateHitRatio() {
@@ -121,26 +64,4 @@ func (w *walkObs) updateHitRatio() {
 	if total := h + m; total > 0 {
 		w.hitRatio.Set(float64(h) / float64(total))
 	}
-}
-
-// setCacheSize reports the LRU's current occupancy.
-func (w *walkObs) setCacheSize(n int) {
-	if w == nil {
-		return
-	}
-	w.cacheLen.Set(float64(n))
-}
-
-func (w *walkObs) countEvicted() {
-	if w == nil {
-		return
-	}
-	w.evicted.Inc()
-}
-
-func (w *walkObs) countFetchErr() {
-	if w == nil {
-		return
-	}
-	w.fetchErr.Inc()
 }

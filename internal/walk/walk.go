@@ -146,11 +146,11 @@ func (e *Estimator) Estimate(source int) (map[int]float64, error) {
 		return nil, fault.Terminal(fmt.Errorf("walk: source %d outside [0, %d)", source, n))
 	}
 	wo := wobs.Load()
-	sp := wo.spanEstimate()
-	tsp := obs.StartRoot(spanEstimate)
-	tsp.Attr(attrSource, int64(source))
-	tsp.Attr(attrWalks, int64(e.cfg.Walks))
-	tsc := tsp.Context()
+	sp := obs.StartRoot(spanEstimate)
+	sp.Timed(wo.clock, wo.estimate)
+	sp.Attr(attrSource, int64(source))
+	sp.Attr(attrWalks, int64(e.cfg.Walks))
+	tsc := sp.Context()
 	counts := make([]int64, n)
 	base := sim.NewRNG(e.cfg.Seed).DeriveStream("walk")
 	var (
@@ -193,17 +193,18 @@ func (e *Estimator) Estimate(source int) (map[int]float64, error) {
 			}
 		}
 	})
-	wo.addWalkWork(uint64(e.cfg.Walks), steps.Load(), died.Load())
-	sp.End()
+	wo.walks.Add(uint64(e.cfg.Walks))
+	wo.steps.Add(steps.Load())
+	wo.died.Add(died.Load())
 	if failed.Load() {
 		errMu.Lock()
 		defer errMu.Unlock()
-		wo.countAborted()
-		tsp.EndErr(firstErr)
+		wo.aborted.Inc()
+		sp.EndErr(firstErr)
 		return nil, firstErr
 	}
-	wo.countEstimate()
-	tsp.End()
+	wo.done.Inc()
+	sp.End()
 	out := make(map[int]float64)
 	total := float64(e.cfg.Walks)
 	for j, c := range counts {

@@ -324,6 +324,76 @@ func TestWalkMetrics(t *testing.T) {
 	if !found {
 		t.Fatal("walk_walks_total != 100 after a 100-walk estimate")
 	}
+
+	// A DHTSource-backed estimate feeds the row-cache families. Walkers
+	// interleave, so exact hit/miss splits vary; the relations between
+	// the series do not. The 4-cycle never dangles and a 2-row cache
+	// must evict.
+	cycle := sparse.FreezeNormalized(4, []map[int]float64{{1: 1}, {2: 1}, {3: 1}, {0: 1}})
+	fetcher := &stubFetcher{recs: rowRecords(t, cycle, 1)}
+	dsrc, err := NewDHTSource(fetcher, 4, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dest, err := New(dsrc, Config{Walks: 50, Depth: 4, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dest.Estimate(0); err != nil {
+		t.Fatal(err)
+	}
+	hits := reg.Counter("walk_row_cache_hits_total").Load()
+	misses := reg.Counter("walk_row_cache_misses_total").Load()
+	evicted := reg.Counter("walk_row_cache_evictions_total").Load()
+	if hits+misses != 200 {
+		t.Errorf("hits %d + misses %d = %d row lookups, want 50 walks × depth 4 = 200", hits, misses, hits+misses)
+	}
+	if misses != uint64(fetcher.calls) || misses < 4 {
+		t.Errorf("misses = %d, want the fetch count %d (≥ 4 distinct rows)", misses, fetcher.calls)
+	}
+	if evicted != misses-2 {
+		t.Errorf("evictions = %d, want misses − cache capacity = %d", evicted, misses-2)
+	}
+	if got := reg.Gauge("walk_cache_size").Load(); got != 2 {
+		t.Errorf("walk_cache_size = %v, want 2 (full 2-row cache)", got)
+	}
+	if got, want := reg.Gauge("walk_cache_hit_ratio").Load(), float64(hits)/float64(hits+misses); got != want {
+		t.Errorf("walk_cache_hit_ratio = %v, want %v", got, want)
+	}
+	fetchHist := reg.Histogram("walk_row_fetch_seconds", metrics.DurationBuckets)
+	if got := fetchHist.Count(); got != misses {
+		t.Errorf("walk_row_fetch_seconds count = %d, want one per miss (%d)", got, misses)
+	}
+	if got := reg.Counter("walk_estimates_total").Load(); got != 2 {
+		t.Errorf("walk_estimates_total = %d, want 2", got)
+	}
+	if got := reg.Counter("walk_estimates_aborted_total").Load(); got != 0 {
+		t.Errorf("walk_estimates_aborted_total = %d before any failure", got)
+	}
+
+	// A failing fetch aborts the estimate: aborted, not completed, and
+	// the failed fetch is still timed.
+	fetcher.err = fault.Unreachable(errors.New("ring down"))
+	dsrc.SetEpoch(1)
+	if got := reg.Gauge("walk_cache_size").Load(); got != 0 {
+		t.Errorf("walk_cache_size = %v after SetEpoch, want 0", got)
+	}
+	if _, err := dest.Estimate(0); err == nil {
+		t.Fatal("estimate over a failing fetcher succeeded")
+	}
+	if got := reg.Counter("walk_estimates_aborted_total").Load(); got != 1 {
+		t.Errorf("walk_estimates_aborted_total = %d, want 1", got)
+	}
+	if got := reg.Counter("walk_estimates_total").Load(); got != 2 {
+		t.Errorf("walk_estimates_total = %d after an abort, want still 2", got)
+	}
+	misses = reg.Counter("walk_row_cache_misses_total").Load()
+	if got := fetchHist.Count(); got != misses {
+		t.Errorf("walk_row_fetch_seconds count = %d after failures, want one per miss (%d)", got, misses)
+	}
+	if got := reg.Counter("walk_row_fetch_errors_total").Load(); got == 0 {
+		t.Error("walk_row_fetch_errors_total = 0 after a failing fetch")
+	}
 	Uninstrument()
 	if _, err := est.Estimate(0); err != nil {
 		t.Fatal(err)
