@@ -4,10 +4,11 @@
 // The resilience layer (PR 4) retries only errors whose chain carries
 // fault.ErrUnreachable or fault.ErrTimeout; everything else is treated
 // as terminal. A naked errors.New or fmt.Errorf (without %w) constructed
-// inside internal/dht, internal/peer or internal/chaos therefore
-// silently strips retryability the moment it crosses a package
-// boundary: a transient condition misreported as terminal starves the
-// retry budget, a terminal condition left bare can never be pinned.
+// inside internal/dht, internal/peer, internal/rpc, internal/chaos or
+// internal/walk therefore silently strips retryability the moment it
+// crosses a package boundary: a transient condition misreported as
+// terminal starves the retry budget, a terminal condition left bare can
+// never be pinned.
 // faultwrap makes the classification explicit. Every constructed error
 // in those packages must be one of:
 //
@@ -43,7 +44,7 @@ import (
 
 // Packages is the set of packages whose errors cross the RPC boundary
 // and must carry an explicit fault classification.
-var Packages = []string{"dht", "peer", "chaos", "walk"}
+var Packages = []string{"dht", "peer", "rpc", "chaos", "walk"}
 
 // name is the analyzer name, also the token accepted by //mdrep:allow.
 const name = "faultwrap"
@@ -51,10 +52,11 @@ const name = "faultwrap"
 var Analyzer = &analysis.Analyzer{
 	Name: name,
 	Doc: "require fault-taxonomy classification on errors built in RPC-boundary packages\n\n" +
-		"internal/dht, internal/peer and internal/chaos return errors through the\n" +
-		"retry layer, which keys off the internal/fault taxonomy. A naked\n" +
-		"errors.New/fmt.Errorf loses retryability: construct sentinels at package\n" +
-		"level, wrap causes with %w, or tag with fault.Terminal/Unreachable/Timeout.",
+		"internal/dht, internal/peer, internal/rpc, internal/chaos and internal/walk\n" +
+		"return errors through the retry layer, which keys off the internal/fault\n" +
+		"taxonomy. A naked errors.New/fmt.Errorf loses retryability: construct\n" +
+		"sentinels at package level, wrap causes with %w, or tag with\n" +
+		"fault.Terminal/Unreachable/Timeout.",
 	Requires: []*analysis.Analyzer{inspect.Analyzer},
 	Run:      run,
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestFaultWrap(t *testing.T) {
-	analyzertest.Run(t, "testdata", faultwrap.Analyzer, "peer", "transport")
+	analyzertest.Run(t, "testdata", faultwrap.Analyzer, "peer", "rpc", "transport")
 }

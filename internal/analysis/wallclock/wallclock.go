@@ -2,7 +2,7 @@
 // packages whose behaviour must be reproducible.
 //
 // The replay-deterministic packages (core, sparse, journal, wire, eval)
-// and the networked services that embed them (dht, peer) must derive all
+// and the networked services that embed them (dht, peer, rpc) must derive all
 // state-affecting time from injected clocks — the virtual time.Duration
 // the engine threads through every event, or the `now func() time.Time`
 // field pattern of dht.Storage — and all randomness from seeded
@@ -41,7 +41,7 @@ import (
 
 // Packages is the set of packages that must not read ambient time or
 // global randomness.
-var Packages = []string{"core", "sparse", "journal", "wire", "eval", "dht", "peer", "chaos", "massim", "blue", "walk"}
+var Packages = []string{"core", "sparse", "journal", "wire", "eval", "dht", "peer", "rpc", "chaos", "massim", "blue", "walk"}
 
 // allowedRandFuncs construct explicitly seeded generators and are the
 // sanctioned alternative to the global source.

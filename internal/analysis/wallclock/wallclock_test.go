@@ -8,5 +8,5 @@ import (
 )
 
 func TestWallClock(t *testing.T) {
-	analyzertest.Run(t, "testdata", wallclock.Analyzer, "journal", "simtool", "sparse")
+	analyzertest.Run(t, "testdata", wallclock.Analyzer, "journal", "rpc", "simtool", "sparse")
 }

@@ -34,9 +34,9 @@ type Client interface {
 
 // unreachableError is the concrete type behind ErrNodeUnreachable. It
 // classifies as fault.ErrUnreachable so retry loops and the peer
-// exchange share one taxonomy without changing this sentinel's text or
-// the errors.Is(err, ErrNodeUnreachable) checks spread through the ring
-// code.
+// exchange share one taxonomy without changing this sentinel's text;
+// callers (today only tests) may still check errors.Is(err,
+// ErrNodeUnreachable).
 type unreachableError struct{}
 
 func (unreachableError) Error() string { return "dht: node unreachable" }

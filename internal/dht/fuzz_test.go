@@ -34,14 +34,13 @@ func FuzzWireRequestDecode(f *testing.F) {
 	f.Add([]byte{0xff})                            // truncated header
 	f.Add(frame(2, []byte("{}")))                  // empty object
 
-	srv := &TCPServer{}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req wireRequest
 		if err := wire.ReadFrame(bytes.NewReader(data), &req); err != nil {
 			return // malformed frames must error, and they did
 		}
 		// Whatever decoded must dispatch without panicking.
-		_ = srv.dispatch(nullHandler{}, req, obs.SpanContext{})
+		_ = dispatch(nullHandler{}, req, obs.SpanContext{})
 	})
 }
 

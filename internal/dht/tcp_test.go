@@ -1,12 +1,18 @@
 package dht
 
 import (
+	"errors"
+	"net"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 	"mdrep/internal/obs"
+	"mdrep/internal/wire"
 )
 
 // startTCPRing launches n nodes on loopback TCP, joins them, and
@@ -18,18 +24,12 @@ func startTCPRing(t *testing.T, n int) []*Node {
 	for i := 0; i < n; i++ {
 		cfg := DefaultNodeConfig()
 		cfg.Storage = NewStorage(0, nil)
-		// Bind first so the node's address (and ring ID) is the real
-		// listen address.
-		srv, err := ServeTCP("127.0.0.1:0", nil)
+		srv, err := ServeTCPNode("127.0.0.1:0", client, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		node, err := NewNode(srv.Addr(), client, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv.setHandler(node)
 		t.Cleanup(func() { _ = srv.Close() })
+		node := srv.Node()
 		if i > 0 {
 			if err := node.Join(nodes[0].Self().Addr); err != nil {
 				t.Fatal(err)
@@ -101,16 +101,12 @@ func TestTCPSignedRecordVerification(t *testing.T) {
 	}
 	client := NewTCPClient()
 	cfg := NodeConfig{SuccessorListLen: 2, Storage: NewStorage(0, dir)}
-	srv, err := ServeTCP("127.0.0.1:0", nil)
+	srv, err := ServeTCPNode("127.0.0.1:0", client, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	node, err := NewNode(srv.Addr(), client, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.setHandler(node)
 	t.Cleanup(func() { _ = srv.Close() })
+	node := srv.Node()
 
 	info := eval.Info{FileID: "xyz", OwnerID: owner.ID(), Evaluation: 0.6, Timestamp: 3}
 	if err := info.Sign(owner); err != nil {
@@ -144,26 +140,104 @@ func TestTCPSignedRecordVerification(t *testing.T) {
 }
 
 func TestTCPClientUnreachable(t *testing.T) {
-	c := &TCPClient{DialTimeout: 200 * time.Millisecond, CallTimeout: 200 * time.Millisecond}
-	if err := c.Ping(obs.SpanContext{}, "127.0.0.1:1"); err == nil {
+	err := NewTCPClient().Ping(obs.SpanContext{}, "127.0.0.1:1")
+	if err == nil {
 		t.Fatal("ping to closed port succeeded")
+	}
+	if !fault.Retryable(err) || !errors.Is(err, ErrNodeUnreachable) {
+		t.Fatalf("dial failure %v: retryable=%v unreachable=%v, want both", err,
+			fault.Retryable(err), errors.Is(err, ErrNodeUnreachable))
 	}
 }
 
-func TestTCPServerRejectsUnknownMethod(t *testing.T) {
-	srv, err := ServeTCP("127.0.0.1:0", nil)
+// serveMemNode serves a node (whose own outbound client is an unused
+// MemNet) on loopback TCP.
+func serveMemNode(t *testing.T) *TCPNodeServer {
+	t.Helper()
+	srv, err := ServeTCPNode("127.0.0.1:0", NewMemNet(), DefaultNodeConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := NewMemNet()
-	node, err := NewNode(srv.Addr(), net, DefaultNodeConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.setHandler(node)
 	t.Cleanup(func() { _ = srv.Close() })
-	c := NewTCPClient()
-	if _, err := c.call(obs.SpanContext{}, spanServe, srv.Addr(), wireRequest{Method: "bogus"}); err == nil {
+	return srv
+}
+
+func TestTCPServerRejectsUnknownMethod(t *testing.T) {
+	srv := serveMemNode(t)
+	_, err := NewTCPClient().call(obs.SpanContext{}, spanServe, srv.Addr(), wireRequest{Method: "bogus"})
+	if err == nil {
 		t.Fatal("unknown method accepted")
+	}
+	// The server answered: its verdict is final, and a retry loop must
+	// not spend attempts on it.
+	if !fault.IsTerminal(err) || !strings.Contains(err.Error(), "unknown method") {
+		t.Fatalf("unknown method: %v (terminal=%v), want a terminal error frame", err, fault.IsTerminal(err))
+	}
+}
+
+// TestTCPServerCloseWithIdleClient pins that Close cuts connections a
+// client holds open without sending, instead of waiting out the serve
+// deadline.
+func TestTCPServerCloseWithIdleClient(t *testing.T) {
+	srv := serveMemNode(t)
+	idle, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = idle.Close() }()
+	// Connections are accepted in order, so once this ping is answered
+	// the idle connection is being served too.
+	if err := NewTCPClient().Ping(obs.SpanContext{}, srv.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > 2*time.Second {
+		t.Fatalf("Close took %v with an idle client connected", took)
+	}
+}
+
+// TestTCPServerDropsHostileFrame pins that a frame header declaring more
+// than wire.MaxFrame costs the sender its connection and nothing more:
+// the next well-formed request is served.
+func TestTCPServerDropsHostileFrame(t *testing.T) {
+	srv := serveMemNode(t)
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = conn.Close() }()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(frame(wire.MaxFrame+1, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("read after hostile header: %v, want the server to hang up", err)
+	}
+	if err := NewTCPClient().Ping(obs.SpanContext{}, srv.Addr()); err != nil {
+		t.Fatalf("ping after hostile frame: %v", err)
+	}
+}
+
+// BenchmarkTCPPing is the per-RPC cost of the real transport: one dial,
+// one request frame and one response frame over loopback. allocs/op and
+// B/op are deterministic; ns/op depends on the host.
+func BenchmarkTCPPing(b *testing.B) {
+	srv, err := ServeTCPNode("127.0.0.1:0", NewMemNet(), DefaultNodeConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() { _ = srv.Close() }()
+	c := NewTCPClient()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := c.Ping(obs.SpanContext{}, srv.Addr()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

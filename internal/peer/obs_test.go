@@ -47,16 +47,22 @@ func TestExchangeByteCounters(t *testing.T) {
 	if len(infos) != 1 {
 		t.Fatalf("fetched %d evaluations, want 1", len(infos))
 	}
+	// The client can finish reading before the server's last Write
+	// returns and is counted; Close waits for the serving goroutine.
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
 
+	// Client and server share the observer, so each direction sees the
+	// request and the response once. The totals are pinned exactly: the
+	// request frame is 28 bytes (4-byte length + {"method":"evaluations"})
+	// and the signed one-entry response frame 247, so any change to the
+	// bytes on the wire shows up here.
+	const wantBytes = 28 + 247
 	in := reg.Counter("peer_exchange_bytes_total", "dir", "in").Load()
 	out := reg.Counter("peer_exchange_bytes_total", "dir", "out").Load()
-	if in == 0 || out == 0 {
-		t.Fatalf("byte counters not moving: in=%d out=%d", in, out)
-	}
-	// Client and server share the observer, so both directions see the
-	// request and the response; the totals must match exactly.
-	if in != out {
-		t.Fatalf("in=%d != out=%d with a shared observer", in, out)
+	if in != wantBytes || out != wantBytes {
+		t.Fatalf("wire bytes in=%d out=%d, want %d each", in, out, wantBytes)
 	}
 	if got := reg.Counter("peer_exchange_fetches_total").Load(); got != 1 {
 		t.Errorf("fetches = %d, want 1", got)

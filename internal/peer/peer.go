@@ -55,8 +55,8 @@ const (
 type Directory = identity.Directory
 
 // Network is how a peer reaches other peers' evaluation lists. The
-// in-memory Exchange implements it; a TCP implementation can reuse the
-// DHT transport's framing.
+// in-memory Exchange implements it, and so does TCPExchange over the
+// TCP transport the DHT uses (internal/rpc).
 type Network interface {
 	// FetchEvaluations returns the target's current signed evaluation
 	// list, continuing the caller's trace across the exchange.

@@ -1,16 +1,16 @@
 package peer
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
-	"time"
 
 	"mdrep/internal/eval"
 	"mdrep/internal/fault"
 	"mdrep/internal/identity"
 	"mdrep/internal/obs"
-	"mdrep/internal/wire"
+	"mdrep/internal/rpc"
 )
 
 // The TCP exchange lets participants fetch each other's signed evaluation
@@ -70,13 +70,11 @@ func (r *StaticResolver) Resolve(id identity.PeerID) (string, error) {
 
 var _ Resolver = (*StaticResolver)(nil)
 
-// TCPExchange implements Network over TCP.
+// TCPExchange implements Network over TCP, with internal/rpc's 2 s dial
+// and 5 s call timeouts.
 type TCPExchange struct {
 	resolver Resolver
-	// DialTimeout and CallTimeout bound each fetch.
-	DialTimeout, CallTimeout time.Duration
-
-	obs ExchangeObs
+	obs      ExchangeObs
 }
 
 // Instrument counts fetches and wire bytes into o; nil detaches. Call
@@ -88,12 +86,14 @@ func (e *TCPExchange) Instrument(o *ExchangeObs) {
 	}
 }
 
-// NewTCPExchange returns a client with 2s dial and 5s call timeouts.
+// NewTCPExchange returns a client resolving peers through resolver.
 func NewTCPExchange(resolver Resolver) *TCPExchange {
-	return &TCPExchange{resolver: resolver, DialTimeout: 2 * time.Second, CallTimeout: 5 * time.Second}
+	return &TCPExchange{resolver: resolver}
 }
 
-// FetchEvaluations implements Network.
+// FetchEvaluations implements Network. Transport failures are tagged
+// retryable (fault.ErrUnreachable); an error frame from the peer is
+// terminal.
 func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerID) (infos []eval.Info, err error) {
 	sp := obs.StartSpan(sc, spanFetch)
 	sp.AttrStr(attrTarget, string(target))
@@ -102,24 +102,14 @@ func (e *TCPExchange) FetchEvaluations(sc obs.SpanContext, target identity.PeerI
 	if err != nil {
 		return nil, err
 	}
-	raw, err := net.DialTimeout("tcp", addr, e.DialTimeout)
-	if err != nil {
-		// Transport failures are tagged retryable (fault.ErrUnreachable);
-		// an explicit error frame from the peer below stays terminal.
-		return nil, fault.Unreachable(fmt.Errorf("peer: dial %s (%s): %w", target, addr, err))
-	}
-	defer func() { _ = raw.Close() }()
-	e.obs.fetches.Inc()
-	conn := countingConn{Conn: raw, in: e.obs.bytesIn, out: e.obs.bytesOut}
-	if err := conn.SetDeadline(time.Now().Add(e.CallTimeout)); err != nil { //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
-		return nil, err
-	}
-	if err := wire.WriteFrame(conn, exchangeRequest{Method: "evaluations", Trace: sp.Context().MarshalWire()}); err != nil {
-		return nil, fault.Unreachable(fmt.Errorf("peer: send to %s: %w", target, err))
+	count := func(raw net.Conn) net.Conn {
+		e.obs.fetches.Inc()
+		return countingConn{Conn: raw, in: e.obs.bytesIn, out: e.obs.bytesOut}
 	}
 	var resp exchangeResponse
-	if err := wire.ReadFrame(conn, &resp); err != nil {
-		return nil, fault.Unreachable(fmt.Errorf("peer: recv from %s: %w", target, err))
+	req := exchangeRequest{Method: "evaluations", Trace: sp.Context().MarshalWire()}
+	if err := rpc.Call(addr, count, req, &resp); err != nil {
+		return nil, fmt.Errorf("peer: %s: %w", target, err)
 	}
 	if resp.Error != "" {
 		return nil, fault.Terminal(fmt.Errorf("peer: %s: %s", target, resp.Error))
@@ -131,14 +121,11 @@ var _ Network = (*TCPExchange)(nil)
 
 // ExchangeServer serves one peer's evaluation list over TCP.
 type ExchangeServer struct {
-	listener net.Listener
-	source   func() ([]eval.Info, error)
+	srv    *rpc.Server
+	source func() ([]eval.Info, error)
 
-	mu      sync.Mutex
-	obs     ExchangeObs
-	conns   map[net.Conn]struct{}
-	closing bool
-	wg      sync.WaitGroup
+	mu  sync.Mutex
+	obs ExchangeObs
 }
 
 // Instrument counts served requests and wire bytes into o. Connections
@@ -155,82 +142,44 @@ func (s *ExchangeServer) Instrument(o *ExchangeObs) {
 // ServeExchange listens on addr (":0" for ephemeral) and serves the
 // evaluation list produced by source — typically (*Peer).SignedEvaluations.
 func ServeExchange(addr string, source func() ([]eval.Info, error)) (*ExchangeServer, error) {
-	ln, err := net.Listen("tcp", addr)
+	ln, err := rpc.Listen(addr)
 	if err != nil {
-		return nil, fault.Terminal(fmt.Errorf("peer: listen %s: %w", addr, err))
+		return nil, fmt.Errorf("peer: %w", err)
 	}
-	s := &ExchangeServer{listener: ln, source: source, conns: make(map[net.Conn]struct{})}
-	s.wg.Add(1)
-	go s.acceptLoop()
+	s := &ExchangeServer{source: source}
+	s.srv = rpc.Serve(ln, s.count, s.serve)
 	return s, nil
 }
 
 // Addr returns the bound listen address.
-func (s *ExchangeServer) Addr() string { return s.listener.Addr().String() }
+func (s *ExchangeServer) Addr() string { return s.srv.Addr() }
 
 // Close stops the listener and waits for in-flight requests.
-func (s *ExchangeServer) Close() error {
-	s.mu.Lock()
-	s.closing = true
-	for conn := range s.conns {
-		_ = conn.Close()
-	}
-	s.mu.Unlock()
-	err := s.listener.Close()
-	s.wg.Wait()
-	return err
-}
+func (s *ExchangeServer) Close() error { return s.srv.Close() }
 
-func (s *ExchangeServer) acceptLoop() {
-	defer s.wg.Done()
-	for {
-		conn, err := s.listener.Accept()
-		if err != nil {
-			return
-		}
-		s.mu.Lock()
-		if s.closing {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.mu.Unlock()
-		s.wg.Add(1)
-		go s.serveConn(conn)
-	}
-}
-
-func (s *ExchangeServer) serveConn(raw net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, raw)
-		s.mu.Unlock()
-		_ = raw.Close()
-	}()
-	_ = raw.SetDeadline(time.Now().Add(10 * time.Second)) //mdrep:allow wallclock: I/O deadline on a live socket, not replayed state
+// count snapshots the observer for one connection, counts the serve and
+// tallies the connection's wire bytes.
+func (s *ExchangeServer) count(raw net.Conn) net.Conn {
 	s.mu.Lock()
 	o := s.obs
 	s.mu.Unlock()
 	o.serves.Inc()
-	conn := countingConn{Conn: raw, in: o.bytesIn, out: o.bytesOut}
-	var req exchangeRequest
-	if err := wire.ReadFrame(conn, &req); err != nil {
-		return
-	}
+	return countingConn{Conn: raw, in: o.bytesIn, out: o.bytesOut}
+}
+
+// serve answers one request inside its serve span.
+func (s *ExchangeServer) serve(req exchangeRequest) exchangeResponse {
 	sp := obs.StartSpan(obs.SpanContextFromWire(req.Trace), spanServe)
 	if req.Method != "evaluations" {
-		sp.EndErr(fmt.Errorf("unknown method %q", req.Method)) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
-		_ = wire.WriteFrame(conn, exchangeResponse{Error: fmt.Sprintf("unknown method %q", req.Method)})
-		return
+		msg := fmt.Sprintf("unknown method %q", req.Method)
+		sp.EndErr(errors.New(msg)) //mdrep:allow faultwrap: feeds the serve span's status only, never returned to a retry loop
+		return exchangeResponse{Error: msg}
 	}
 	infos, err := s.source()
 	if err != nil {
 		sp.EndErr(err)
-		_ = wire.WriteFrame(conn, exchangeResponse{Error: err.Error()})
-		return
+		return exchangeResponse{Error: err.Error()}
 	}
 	sp.End()
-	_ = wire.WriteFrame(conn, exchangeResponse{Evaluations: infos})
+	return exchangeResponse{Evaluations: infos}
 }

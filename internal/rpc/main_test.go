@@ -1,0 +1,9 @@
+package rpc
+
+import (
+	"testing"
+
+	"mdrep/internal/testutil"
+)
+
+func TestMain(m *testing.M) { testutil.RunMain(m) }
