@@ -119,13 +119,15 @@ sim:
 
 # shard runs the sharded-engine invariance suite under the race
 # detector twice over: shard-count invariance (K ∈ {1,2,8} must be
-# bit-identical to the unsharded engine), the concurrent hammer at K=1
-# and K=8, per-shard journal recovery including truncation at every
-# byte offset, and the shard-count parity tests at the mdrep and massim
-# layers.
+# bit-identical to the unsharded engine), every incremental sharded TM
+# against the map reference build, the concurrent hammer at K=1 and K=8,
+# per-shard journal recovery including truncation at every byte offset,
+# the shard-count parity tests at the mdrep and massim layers, and the
+# sparse row-set layer under them: the patch-only re-freeze and TM patch
+# differentials and the K-way merge.
 shard:
-	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards' \
-		mdrep mdrep/internal/core mdrep/internal/journal \
+	$(GO) test -race -count=2 -run 'Shard|WithShards|MirrorShards|Refreeze|PatchWeightedSum|Merge|RowSet' \
+		mdrep mdrep/internal/core mdrep/internal/journal mdrep/internal/sparse \
 		mdrep/internal/massim mdrep/cmd/mdrep-peer
 
 # walk runs the Monte-Carlo reputation estimator suite under the race

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -19,10 +20,11 @@ import (
 // The matrix pipeline is incremental: ApplyEvent marks the dimension rows
 // an event invalidates (a vote or retention signal dirties the FM rows of
 // the file's co-evaluators plus the voter's DM row, a download dirties one
-// DM row, a rating one UM row), and BuildFM/BuildDM/BuildUM patch only the
-// dirty rows of cached matrices before freezing them into immutable CSR
-// form. BuildTM caches the frozen integration and bumps an epoch counter
-// whenever it changes. Results are bit-identical to a from-scratch rebuild
+// DM row, a rating one UM row), and BuildFM/BuildDM/BuildUM rebuild only
+// the dirty rows, copying every clean row from the previous frozen row
+// set. BuildTM re-integrates just the TM rows those rebuilds touched and
+// bumps an epoch counter whenever TM changes. Results are bit-identical
+// to a from-scratch rebuild
 // — the differential tests in incremental_test.go enforce it — so journal
 // replay (internal/journal) reproduces identical matrices regardless of
 // when builds happened in the original run.
@@ -49,15 +51,13 @@ type Engine struct {
 	// sharded facade's per-shard writers can share it.
 	evaluators *evalIndex
 
-	// Incremental build state. fm/dm/um hold raw (unnormalised) cached
-	// rows plus their frozen row-normalised CSR; tm is the cached frozen
-	// integration of Eq. (7).
-	fm, dm, um dimCache
-	tm         *sparse.CSR
-	// tmSrc records the frozen dimensions tm was integrated from; TM is
-	// stale whenever any current frozen dimension differs (pointer
-	// identity — frozen CSRs are immutable, so identity implies equality).
-	tmSrc [3]*sparse.CSR
+	// Incremental build state. dims track each dimension's dirty rows
+	// and hold its frozen CSR; rows holds the frozen row sets over
+	// [0, n) they view; tm is the cached frozen integration of Eq. (7),
+	// nil whenever a dimension has been refreshed since.
+	dims  [3]dimCache
+	rows  *rowCache
+	tm    *sparse.CSR
 	epoch uint64
 	// lastNow is the virtual time of the most recent build; window expiry
 	// between builds is detected by scanning for records that died in
@@ -77,9 +77,8 @@ type downloadEntry struct {
 
 // dimCache is the incremental state of one trust dimension.
 type dimCache struct {
-	// rows are the raw (unnormalised) cached rows; nil until first build.
-	rows []map[int]float64
-	// frozen is the row-normalised CSR of rows; nil when stale.
+	// frozen is the row-normalised CSR view of the dimension's row set;
+	// nil when stale.
 	frozen *sparse.CSR
 	// dirty lists rows that must be recomputed; ignored while all is set.
 	dirty map[int]struct{}
@@ -119,6 +118,14 @@ func NewEngine(n int, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
+	rows, err := newRowCache(n, all)
+	if err != nil {
+		return nil, err
+	}
 	e := &Engine{
 		cfg:        cfg,
 		n:          n,
@@ -127,9 +134,8 @@ func NewEngine(n int, cfg Config) (*Engine, error) {
 		userTrust:  make([]map[int]float64, n),
 		blacklist:  make([]map[int]struct{}, n),
 		evaluators: newEvalIndex(),
-		fm:         newDimCache(),
-		dm:         newDimCache(),
-		um:         newDimCache(),
+		dims:       [3]dimCache{newDimCache(), newDimCache(), newDimCache()},
+		rows:       rows,
 	}
 	for i := range e.stores {
 		s, err := eval.NewStore(cfg.Blend, cfg.Window)
@@ -182,14 +188,7 @@ type markFunc func(dim int, row int)
 
 // markDim is the Engine's own markFunc.
 func (e *Engine) markDim(dim int, row int) {
-	switch dim {
-	case dimFM:
-		e.fm.markRow(row)
-	case dimDM:
-		e.dm.markRow(row)
-	case dimUM:
-		e.um.markRow(row)
-	}
+	e.dims[dim].markRow(row)
 }
 
 // dirtyEvaluationTo records that peer p's evaluation of file f changed:
@@ -225,9 +224,9 @@ func (e *Engine) advanceTime(now time.Duration) {
 		return
 	}
 	if now < e.lastNow {
-		e.fm.invalidate()
-		e.dm.invalidate()
-		e.um.invalidate()
+		for d := range e.dims {
+			e.dims[d].invalidate()
+		}
 		e.lastNow = now
 		return
 	}
@@ -299,63 +298,38 @@ func (e *Engine) liveEvaluators(f eval.FileID, now time.Duration, memo map[eval.
 // (Eq. 2): FT_ij = 1 - (1/m)·Σ_{k∈F} |E_ik − E_jk| over the co-evaluated
 // set F. Files iterate in ascending FileID order and pair contributions
 // accumulate per co-evaluator in that order — the same order the full
-// rebuild uses, so the sums are bit-identical.
-func (e *Engine) fmRow(i int, now time.Duration, memo map[eval.FileID]*fileEvaluators) map[int]float64 {
-	files := e.stores[i].Files(now)
-	type pairAcc struct {
-		sum   float64
-		count int
-	}
-	acc := make(map[int]*pairAcc)
-	for _, f := range files {
+// rebuild uses, so the sums are bit-identical. The row is built in acc
+// and returned columns ascending, valid until acc's next row.
+func (e *Engine) fmRow(i int, now time.Duration, memo map[eval.FileID]*fileEvaluators, acc *rowAcc) ([]int32, []float64) {
+	acc.reset()
+	for _, f := range e.stores[i].Files(now) {
 		fe := e.liveEvaluators(f, now, memo)
-		pos := -1
-		for idx, p := range fe.peers {
-			if p == i {
-				pos = idx
-				break
-			}
-		}
-		if pos < 0 {
+		pos, ok := slices.BinarySearch(fe.peers, i)
+		if !ok {
 			continue // i evaluated f but fell out of the deterministic sample
 		}
 		for idx, j := range fe.peers {
-			if j == i {
-				continue
+			if j != i {
+				acc.add(j, math.Abs(fe.vals[pos]-fe.vals[idx]))
 			}
-			a := acc[j]
-			if a == nil {
-				a = &pairAcc{}
-				acc[j] = a
-			}
-			a.sum += math.Abs(fe.vals[pos] - fe.vals[idx])
-			a.count++
 		}
 	}
-	if len(acc) == 0 {
-		return nil
-	}
-	row := make(map[int]float64, len(acc))
-	for j, a := range acc {
-		if ft := 1 - a.sum/float64(a.count); ft > 0 {
-			row[j] = ft
+	for _, j := range acc.sorted() {
+		if ft := 1 - acc.sum[j]/float64(acc.count[j]); ft > 0 {
+			acc.keep(j, ft)
 		}
 	}
-	return row
+	return acc.cols, acc.vals
 }
 
 // dmRow recomputes row i of the raw download-volume matrix (Eq. 4):
 // VD_ij = Σ_{k ∈ D_ij} E_ik·S_k, with unevaluated files contributing the
 // retention floor. Entries accumulate in ledger (event) order per
-// uploader, as in the full rebuild.
-func (e *Engine) dmRow(i int, now time.Duration) map[int]float64 {
-	per := e.downloads[i]
-	if len(per) == 0 {
-		return nil
-	}
+// uploader, as in the full rebuild. The row is built in acc, as fmRow.
+func (e *Engine) dmRow(i int, now time.Duration, acc *rowAcc) ([]int32, []float64) {
+	acc.reset()
 	floor := e.cfg.Retention.Floor
-	row := make(map[int]float64, len(per))
-	for j, entries := range per {
+	for j, entries := range e.downloads[i] {
 		vd := 0.0
 		for _, d := range entries {
 			ev, ok := e.stores[i].Get(d.file, now)
@@ -364,84 +338,48 @@ func (e *Engine) dmRow(i int, now time.Duration) map[int]float64 {
 			}
 			vd += ev * float64(d.size)
 		}
-		if vd > 0 {
-			row[j] = vd
-		}
+		acc.add(j, vd)
 	}
-	return row
+	return acc.positive()
 }
 
-// umRow recomputes row i of the raw user-based matrix (Eq. 6).
-func (e *Engine) umRow(i int) map[int]float64 {
-	per := e.userTrust[i]
-	if len(per) == 0 {
-		return nil
+// umRow recomputes row i of the raw user-based matrix (Eq. 6), built in
+// acc as fmRow.
+func (e *Engine) umRow(i int, acc *rowAcc) ([]int32, []float64) {
+	acc.reset()
+	for j, v := range e.userTrust[i] {
+		acc.add(j, v)
 	}
-	row := make(map[int]float64, len(per))
-	for j, v := range per {
-		if v > 0 {
-			row[j] = v
-		}
-	}
-	return row
+	return acc.positive()
 }
 
-// refresh patches a dimension cache with rowFn and refreezes it; it
-// reports whether the frozen matrix changed.
-func (e *Engine) refresh(d *dimCache, rowFn func(i int) map[int]float64) bool {
-	if !d.stale() {
-		return false
+// refresh rebuilds dimension d's dirty rows (all of them after an
+// invalidation) into the engine's row sets — the same path each shard of
+// Sharded runs over its own rows — and drops the cached TM.
+func (e *Engine) refresh(d int, now time.Duration) {
+	dc := &e.dims[d]
+	if !dc.stale() {
+		return
 	}
-	if d.all || d.rows == nil {
-		d.rows = make([]map[int]float64, e.n)
-		for i := 0; i < e.n; i++ {
-			d.rows[i] = rowFn(i)
-		}
-	} else {
-		for i := range d.dirty {
-			d.rows[i] = rowFn(i)
-		}
+	e.obs.dirty[d].Add(uint64(e.dirtyCount(dc)))
+	sp := obs.Timed(e.obs.clock, e.obs.build[d])
+	e.rows.refresh(e, newRowAcc(e.n), d, dc.all, sortedRows(dc.dirty), now)
+	dc.all = false
+	if len(dc.dirty) > 0 {
+		dc.dirty = make(map[int]struct{})
 	}
-	d.all = false
-	if len(d.dirty) > 0 {
-		d.dirty = make(map[int]struct{})
-	}
-	d.frozen = sparse.FreezeNormalized(e.n, d.rows)
-	return true
-}
-
-func (e *Engine) refreshFM(now time.Duration) bool {
-	if !e.fm.stale() {
-		return false
-	}
-	e.obs.dirty[dimFM].Add(uint64(e.dirtyCount(&e.fm)))
-	sp := obs.Timed(e.obs.clock, e.obs.build[dimFM])
-	memo := make(map[eval.FileID]*fileEvaluators)
-	changed := e.refresh(&e.fm, func(i int) map[int]float64 { return e.fmRow(i, now, memo) })
+	dc.frozen = view(e.n, e.rows.dims[d])
+	e.tm = nil
 	sp.End()
-	return changed
 }
 
-func (e *Engine) refreshDM(now time.Duration) bool {
-	if !e.dm.stale() {
-		return false
+// view returns the CSR of a row set over [0, n), sharing its storage.
+func view(n int, set *sparse.RowSet) *sparse.CSR {
+	c, err := sparse.MergeRowSets(n, []*sparse.RowSet{set})
+	if err != nil {
+		panic(err) // the engine's sets are built with dimension n
 	}
-	e.obs.dirty[dimDM].Add(uint64(e.dirtyCount(&e.dm)))
-	sp := obs.Timed(e.obs.clock, e.obs.build[dimDM])
-	changed := e.refresh(&e.dm, func(i int) map[int]float64 { return e.dmRow(i, now) })
-	sp.End()
-	return changed
-}
-
-func (e *Engine) refreshUM() bool {
-	if !e.um.stale() {
-		return false
-	}
-	e.obs.dirty[dimUM].Add(uint64(e.dirtyCount(&e.um)))
-	sp := obs.Timed(e.obs.clock, e.obs.build[dimUM])
-	changed := e.refresh(&e.um, func(i int) map[int]float64 { return e.umRow(i) })
-	sp.End()
-	return changed
+	return c
 }
 
 // --- public build API -------------------------------------------------------
@@ -501,21 +439,21 @@ func (e *Engine) Blacklist(i, j int) error {
 // now, patching only rows invalidated since the previous build.
 func (e *Engine) BuildFM(now time.Duration) *sparse.CSR {
 	e.advanceTime(now)
-	e.refreshFM(now)
-	return e.fm.frozen
+	e.refresh(dimFM, now)
+	return e.dims[dimFM].frozen
 }
 
 // BuildDM returns the frozen download-volume matrix (Eq. 4–5) at time now.
 func (e *Engine) BuildDM(now time.Duration) *sparse.CSR {
 	e.advanceTime(now)
-	e.refreshDM(now)
-	return e.dm.frozen
+	e.refresh(dimDM, now)
+	return e.dims[dimDM].frozen
 }
 
 // BuildUM returns the frozen user-based matrix (Eq. 6).
 func (e *Engine) BuildUM() *sparse.CSR {
-	e.refreshUM()
-	return e.um.frozen
+	e.refresh(dimUM, 0) // UM does not depend on time
+	return e.dims[dimUM].frozen
 }
 
 // BuildTM integrates the three dimensions into the one-step direct trust
@@ -526,22 +464,15 @@ func (e *Engine) BuildUM() *sparse.CSR {
 // confidence.
 func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 	e.advanceTime(now)
-	e.refreshFM(now)
-	e.refreshDM(now)
-	e.refreshUM()
-	src := [3]*sparse.CSR{e.fm.frozen, e.dm.frozen, e.um.frozen}
-	if e.tm == nil || src != e.tmSrc {
+	for d := range e.dims {
+		e.refresh(d, now)
+	}
+	if e.tm == nil {
 		sp := obs.Timed(e.obs.clock, e.obs.refreeze)
-		tm, err := sparse.WeightedSum(e.n, []sparse.Weighted{
-			{Scale: e.cfg.Alpha, M: e.fm.frozen},
-			{Scale: e.cfg.Beta, M: e.dm.frozen},
-			{Scale: e.cfg.Gamma, M: e.um.frozen},
-		})
-		if err != nil {
+		if _, err := e.rows.refreshTM(e.cfg); err != nil {
 			return nil, err
 		}
-		e.tm = tm
-		e.tmSrc = src
+		e.tm = view(e.n, e.rows.tm)
 		e.epoch++
 		sp.End()
 		e.obs.refreezes.Inc()
@@ -555,9 +486,9 @@ func (e *Engine) BuildTM(now time.Duration) (*sparse.CSR, error) {
 // gives tests and benchmarks a way to compare incremental patching against
 // a full rebuild on the same evidence.
 func (e *Engine) InvalidateCaches() {
-	e.fm.invalidate()
-	e.dm.invalidate()
-	e.um.invalidate()
+	for d := range e.dims {
+		e.dims[d].invalidate()
+	}
 	e.tm = nil
 }
 
@@ -566,10 +497,7 @@ func (e *Engine) InvalidateCaches() {
 // nothing can expire (Window == 0 makes the matrices independent of the
 // clock).
 func (e *Engine) CachedTM(now time.Duration) (*sparse.CSR, bool) {
-	if e.tm == nil || e.fm.stale() || e.dm.stale() || e.um.stale() {
-		return nil, false
-	}
-	if e.tmSrc != [3]*sparse.CSR{e.fm.frozen, e.dm.frozen, e.um.frozen} {
+	if e.tm == nil || e.dims[dimFM].stale() || e.dims[dimDM].stale() || e.dims[dimUM].stale() {
 		return nil, false
 	}
 	if !e.lastNowSet || (now != e.lastNow && e.cfg.Window > 0) {

@@ -1,12 +1,15 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/obs"
 	"mdrep/internal/sparse"
 )
 
@@ -31,12 +34,31 @@ var ErrNoReputation = errors.New("core: no reputation path to any evaluator")
 // reps is row i of RM (from Reputations). Evaluators with zero reputation
 // contribute nothing, so a clique of unknown peers cannot sway the score.
 func FileReputation(reps map[int]float64, owners []OwnerEvaluation) (float64, error) {
+	return fileReputation(owners, func(j int) float64 { return reps[j] })
+}
+
+// fileReputationRow is FileReputation over row i of RM in slice form,
+// columns ascending: each owner's reputation is found by binary search,
+// and owners are visited in the order given, so num and den accumulate
+// exactly as they do over the map row.
+func fileReputationRow(cols []int32, vals []float64, owners []OwnerEvaluation) (float64, error) {
+	return fileReputation(owners, func(j int) float64 {
+		k, ok := slices.BinarySearchFunc(cols, j, func(c int32, j int) int { return cmp.Compare(int(c), j) })
+		if !ok {
+			return 0
+		}
+		return vals[k]
+	})
+}
+
+// fileReputation is Eq. (9) with rep(j) = RM_ij.
+func fileReputation(owners []OwnerEvaluation, rep func(j int) float64) (float64, error) {
 	var num, den float64
 	for _, oe := range owners {
 		if oe.Value < 0 || oe.Value > 1 {
 			return 0, fmt.Errorf("core: owner %d evaluation %v outside [0,1]", oe.Owner, oe.Value)
 		}
-		r := reps[oe.Owner]
+		r := rep(oe.Owner)
 		if r <= 0 {
 			continue
 		}
@@ -65,25 +87,35 @@ type Judgement struct {
 // the paper leaves the decision to a per-user threshold, and punishing
 // absent evidence would lock new files out of the system.
 func (e *Engine) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
-	reps, err := e.Reputations(i, now)
+	if err := e.checkPeer(i); err != nil {
+		return Judgement{}, err
+	}
+	tm, err := e.BuildTM(now)
 	if err != nil {
 		return Judgement{}, err
 	}
-	return e.judgeWith(reps, owners)
+	sp := obs.Timed(e.obs.clock, e.obs.repWalk)
+	cols, vals, err := tm.RowVecPowRow(i, e.cfg.Steps)
+	sp.End()
+	if err != nil {
+		return Judgement{}, err
+	}
+	return e.judgeWith(cols, vals, owners)
 }
 
 // JudgeFileFromTM is JudgeFile against a prebuilt TM, amortising matrix
 // construction across many judgements.
 func (e *Engine) JudgeFileFromTM(tm *sparse.CSR, i int, owners []OwnerEvaluation) (Judgement, error) {
-	reps, err := tm.RowVecPow(i, e.cfg.Steps)
+	cols, vals, err := tm.RowVecPowRow(i, e.cfg.Steps)
 	if err != nil {
 		return Judgement{}, err
 	}
-	return e.judgeWith(reps, owners)
+	return e.judgeWith(cols, vals, owners)
 }
 
-func (e *Engine) judgeWith(reps map[int]float64, owners []OwnerEvaluation) (Judgement, error) {
-	r, err := FileReputation(reps, owners)
+// judgeWith decides a file from row i of RM in slice form.
+func (e *Engine) judgeWith(cols []int32, vals []float64, owners []OwnerEvaluation) (Judgement, error) {
+	r, err := fileReputationRow(cols, vals, owners)
 	if errors.Is(err, ErrNoReputation) {
 		return Judgement{}, nil
 	}

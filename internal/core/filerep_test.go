@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"mdrep/internal/eval"
+	"mdrep/internal/sim"
 )
 
 func TestFileReputationEquation9(t *testing.T) {
@@ -158,5 +159,37 @@ func TestCollectOwnerEvaluationsHonoursWindow(t *testing.T) {
 	}
 	if got := e.CollectOwnerEvaluations("f", []int{0}, 2*time.Hour); len(got) != 0 {
 		t.Fatalf("expired evaluation collected: %+v", got)
+	}
+}
+
+// TestFileReputationRowMatchesMap: Eq. (9) over RM's row in slice form
+// equals the map form bit for bit, for owners listed in any order,
+// repeated, absent from the row or outside the population.
+func TestFileReputationRowMatchesMap(t *testing.T) {
+	rng := sim.NewRNG(17)
+	for trial := 0; trial < 200; trial++ {
+		const n = 30
+		var cols []int32
+		var vals []float64
+		reps := make(map[int]float64)
+		for j := 0; j < n; j++ {
+			if rng.Intn(3) == 0 {
+				v := rng.Float64()
+				if rng.Intn(10) == 0 {
+					v = 0 // a stored zero, as a k > 1 walk can leave
+				}
+				cols, vals = append(cols, int32(j)), append(vals, v)
+				reps[j] = v
+			}
+		}
+		owners := make([]OwnerEvaluation, rng.Intn(12))
+		for k := range owners {
+			owners[k] = OwnerEvaluation{Owner: rng.Intn(n+4) - 2, Value: rng.Float64()}
+		}
+		want, wantErr := FileReputation(reps, owners)
+		got, gotErr := fileReputationRow(cols, vals, owners)
+		if math.Float64bits(got) != math.Float64bits(want) || !errors.Is(gotErr, wantErr) {
+			t.Fatalf("trial %d: row form (%v, %v), map form (%v, %v)", trial, got, gotErr, want, wantErr)
+		}
 	}
 }

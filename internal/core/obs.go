@@ -21,7 +21,7 @@ type EngineObs struct {
 	buildRM *metrics.Histogram    // engine_build_seconds{dim="rm"}
 	repWalk *metrics.Histogram    // Reputations row-walk latency
 
-	refreeze  *metrics.Histogram // TM integration (WeightedSum) latency
+	refreeze  *metrics.Histogram // TM integration latency (TM row patch or shard merge)
 	refreezes *metrics.Counter   // epoch bumps
 }
 
@@ -59,7 +59,7 @@ func (e *Engine) SetObserver(o *EngineObs) {
 
 // dirtyCount is the number of rows the next refresh of d will recompute.
 func (e *Engine) dirtyCount(d *dimCache) int {
-	if d.all || d.rows == nil {
+	if d.all {
 		return e.n
 	}
 	return len(d.dirty)

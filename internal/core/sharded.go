@@ -17,9 +17,9 @@ import (
 // the peer index, each shard owning its peers' evidence (stores,
 // download ledgers, user ratings, blacklists), its row-range of the
 // FM/DM/UM matrices, and its own dirty-row trackers. Writers for
-// different shards proceed in parallel while rebuilds freeze each
-// shard's rows independently (sparse.FreezeNormalizedRows) and merge
-// the pieces into the same global CSRs the unsharded Engine produces.
+// different shards proceed in parallel while rebuilds patch each
+// shard's frozen row sets independently (sparse.RowSet) and merge the
+// shards' TM rows into the same global CSR the unsharded Engine produces.
 // It is the only concurrency facade over the trust core: k = 1 is the
 // single-lock configuration, and every k gives bit-identical results.
 //
@@ -63,12 +63,10 @@ type Sharded struct {
 	epoch   atomic.Uint64
 	tmCache atomic.Pointer[shardedTM]
 
-	// Build state below is guarded by rebuildMu (writers) and published
-	// to readers only through tmCache.
+	// Build state below, and each shard's rows, is guarded by rebuildMu
+	// (writers) and published to readers only through tmCache.
 	rebuildMu  sync.Mutex
-	dims       [3]shardedDim
 	tm         *sparse.CSR
-	tmSrc      [3]*sparse.CSR
 	lastNow    time.Duration
 	lastNowSet bool
 
@@ -85,15 +83,9 @@ type shard struct {
 	dirtyMu sync.Mutex
 	dirty   [3]map[int]struct{}
 	all     [3]bool
-}
-
-// shardedDim is the build state of one trust dimension: the raw rows
-// (global-length, row i written only by its owner shard's rebuild
-// worker), the per-shard frozen pieces, and the merged global CSR.
-type shardedDim struct {
-	rows   []map[int]float64
-	sets   []*sparse.RowSet
-	frozen *sparse.CSR
+	// rows is the shard's frozen build state: a row set per dimension
+	// and its TM rows, all over the owned peers.
+	rows *rowCache
 }
 
 // shardedTM is the lock-free TM cache entry.
@@ -151,10 +143,9 @@ func NewSharded(n, k int, cfg Config) (*Sharded, error) {
 			sh.dirty[d] = make(map[int]struct{})
 			sh.all[d] = true
 		}
-	}
-	for d := 0; d < 3; d++ {
-		s.dims[d].rows = make([]map[int]float64, n)
-		s.dims[d].sets = make([]*sparse.RowSet, k)
+		if sh.rows, err = newRowCache(n, s.owned[si]); err != nil {
+			return nil, err
+		}
 	}
 	s.SetShardObserver(nil)
 	return s, nil
@@ -411,14 +402,17 @@ func (s *Sharded) TM(now time.Duration) (*sparse.CSR, error) {
 }
 
 // rebuild is the stop-the-world build: under rebuildMu and every shard
-// data lock (ascending), it reconciles virtual time, drains each
-// shard's dirty trackers, recomputes the dirty rows of each dimension
-// per shard in parallel (reusing the exact row functions of the
-// unsharded engine), refreezes changed shards' row sets, merges them
-// into global CSRs and integrates TM. Rows accumulate in the same
-// ascending order as the unsharded build and the freeze/merge math is
-// bit-identical to FreezeNormalized (see sparse.RowSet), so the result
-// is byte-identical for any K and any GOMAXPROCS.
+// data lock (ascending), it reconciles virtual time and drains each
+// shard's dirty trackers. Then one worker per shard, in parallel,
+// rebuilds the dirty rows of each dimension as slices (the unsharded
+// engine's row functions, through one dense accumulator per worker),
+// re-freezes the shard's row sets by copying every clean row from the
+// previous epoch's set, and patches the shard's TM rows over exactly the
+// rows some dimension rebuilt. The shards' TM row sets are finally
+// merged into the global CSR (shared, not copied, at K = 1). Rows
+// accumulate in the same ascending order as the reference build and the
+// freeze and integration arithmetic is per row (see sparse.RowSet), so
+// the result is byte-identical for any K and any GOMAXPROCS.
 func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 	s.rebuildMu.Lock()
 	defer s.rebuildMu.Unlock()
@@ -466,8 +460,9 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 		s.lastNow = now
 	}
 
-	// Drain + recompute + refreeze, one worker per shard.
-	var changed [3]atomic.Bool
+	// Drain + rebuild + re-freeze + TM patch, one worker per shard.
+	var changed atomic.Bool
+	errs := make([]error, s.k)
 	s.parallelShards(func(si int) {
 		shSp := obs.Timed(s.sobs.clock, s.sobs.perShard[si])
 		defer shSp.End()
@@ -484,84 +479,55 @@ func (s *Sharded) rebuild(now time.Duration) (*sparse.CSR, error) {
 			}
 		}
 		sh.dirtyMu.Unlock()
-		owned := s.owned[si]
+		var acc *rowAcc
 		for d := 0; d < 3; d++ {
-			dim := &s.dims[d]
-			full := all[d] || dim.sets[si] == nil
-			if !full && len(dirty[d]) == 0 {
+			if !all[d] && len(dirty[d]) == 0 {
 				continue
 			}
 			rows := len(dirty[d])
-			if full {
-				rows = len(owned)
+			if all[d] {
+				rows = len(s.owned[si])
 			}
 			// One build sample per shard that recomputes d, so at
 			// K = 1 the samples match the bare engine's.
 			s.obs.dirty[d].Add(uint64(rows))
 			sp := obs.Timed(s.obs.clock, s.obs.build[d])
-			rowFn := s.rowFn(d, now)
-			if full {
-				for _, i := range owned {
-					dim.rows[i] = rowFn(i)
-				}
-			} else {
-				for i := range dirty[d] {
-					dim.rows[i] = rowFn(i)
-				}
+			if acc == nil {
+				acc = newRowAcc(s.eng.n)
 			}
-			dim.sets[si] = sparse.FreezeNormalizedRows(s.eng.n, owned, dim.rows)
+			sh.rows.refresh(s.eng, acc, d, all[d], sortedRows(dirty[d]), now)
 			sp.End()
-			changed[d].Store(true)
 		}
+		ok, err := sh.rows.refreshTM(s.eng.cfg)
+		if ok {
+			changed.Store(true)
+		}
+		errs[si] = err
 	})
-
-	// Merge changed dimensions and integrate TM (Eq. 7).
-	for d := 0; d < 3; d++ {
-		if !changed[d].Load() && s.dims[d].frozen != nil {
-			continue
-		}
-		csr, err := sparse.MergeRowSets(s.eng.n, s.dims[d].sets)
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		s.dims[d].frozen = csr
 	}
-	src := [3]*sparse.CSR{s.dims[dimFM].frozen, s.dims[dimDM].frozen, s.dims[dimUM].frozen}
-	if s.tm == nil || src != s.tmSrc {
-		cfg := s.eng.cfg
+
+	// Merge the shards' TM rows (Eq. 7) if any changed.
+	if s.tm == nil || changed.Load() {
 		sp := obs.Timed(s.obs.clock, s.obs.refreeze)
-		tm, err := sparse.WeightedSum(s.eng.n, []sparse.Weighted{
-			{Scale: cfg.Alpha, M: src[dimFM]},
-			{Scale: cfg.Beta, M: src[dimDM]},
-			{Scale: cfg.Gamma, M: src[dimUM]},
-		})
+		sets := make([]*sparse.RowSet, s.k)
+		for si := range s.shards {
+			sets[si] = s.shards[si].rows.tm
+		}
+		tm, err := sparse.MergeRowSets(s.eng.n, sets)
 		if err != nil {
 			return nil, err
 		}
 		s.tm = tm
-		s.tmSrc = src
 		s.epoch.Add(1)
 		sp.End()
 		s.obs.refreezes.Inc()
 	}
 	s.tmCache.Store(&shardedTM{tm: s.tm, now: now, version: ver})
 	return s.tm, nil
-}
-
-// rowFn returns the raw row recompute function of dimension d. The
-// functions read foreign peers' stores (FM pairs over co-evaluators),
-// which is safe during rebuild: every data lock is held, store reads
-// are pure, and each row is written only by its owner's worker.
-func (s *Sharded) rowFn(d int, now time.Duration) func(i int) map[int]float64 {
-	switch d {
-	case dimFM:
-		memo := make(map[eval.FileID]*fileEvaluators)
-		return func(i int) map[int]float64 { return s.eng.fmRow(i, now, memo) }
-	case dimDM:
-		return func(i int) map[int]float64 { return s.eng.dmRow(i, now) }
-	default:
-		return func(i int) map[int]float64 { return s.eng.umRow(i) }
-	}
 }
 
 // --- reads -------------------------------------------------------------------
@@ -615,11 +581,20 @@ func (s *Sharded) Evaluation(p int, f eval.FileID, now time.Duration) (float64, 
 // JudgeFile computes R_f (Eq. 9) for requester i: reputations via the
 // shared TM path, then the threshold decision.
 func (s *Sharded) JudgeFile(i int, owners []OwnerEvaluation, now time.Duration) (Judgement, error) {
-	reps, err := s.Reputations(i, now)
+	if err := s.eng.checkPeer(i); err != nil {
+		return Judgement{}, err
+	}
+	tm, err := s.TM(now)
 	if err != nil {
 		return Judgement{}, err
 	}
-	return s.eng.judgeWith(reps, owners)
+	sp := obs.Timed(s.obs.clock, s.obs.repWalk)
+	cols, vals, err := tm.RowVecPowRow(i, s.Config().Steps)
+	sp.End()
+	if err != nil {
+		return Judgement{}, err
+	}
+	return s.eng.judgeWith(cols, vals, owners)
 }
 
 // JudgeFileFromTM is JudgeFile against a caller-held frozen matrix; no

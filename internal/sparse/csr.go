@@ -13,11 +13,12 @@ import (
 
 // CSR is an immutable n×n sparse matrix in compressed-sparse-row form:
 // row i's entries live at positions [rowPtr[i], rowPtr[i+1]) of the
-// parallel cols/vals arrays, with columns in ascending order. The
-// map-backed Matrix is the mutable builder; freezing it into a CSR gives
-// the trust algebra a compact, cache-friendly, safely shareable form —
-// readers may use a CSR concurrently without synchronisation, which is
-// what core.Sharded's lock-free read path relies on.
+// parallel cols/vals arrays, with columns in ascending order. It is the
+// trust algebra's compact, cache-friendly, safely shareable form — readers
+// may use a CSR concurrently without synchronisation, which is what
+// core.Sharded's lock-free read path relies on. The trust engine builds
+// its CSRs from patched RowSets; the map-backed Matrix is the reference
+// the kernels are checked against.
 //
 // All CSR kernels are bit-identical to their Matrix counterparts: per
 // output entry, floating-point contributions accumulate in the same
@@ -243,49 +244,6 @@ func (c *CSR) RowNormalize() *CSR {
 	return out
 }
 
-// Weighted is one term of a weighted matrix sum.
-type Weighted struct {
-	Scale float64
-	M     *CSR
-}
-
-// WeightedSum returns Σ terms[t].Scale · terms[t].M as a new CSR — the
-// integration TM = α·FM + β·DM + γ·UM of Eq. (7). Terms with a zero
-// scale are skipped entirely (absent evidence contributes nothing, as in
-// Matrix.AddScaled), per-entry contributions accumulate in term order,
-// and entries whose final value is exactly zero are dropped, matching the
-// map path's zero-removing Set.
-func WeightedSum(n int, terms []Weighted) (*CSR, error) {
-	live := terms[:0:0]
-	for _, t := range terms {
-		if t.M == nil {
-			return nil, errors.New("sparse: WeightedSum with nil matrix")
-		}
-		if t.M.n != n {
-			return nil, fmt.Errorf("sparse: dimension mismatch %d vs %d", n, t.M.n)
-		}
-		if t.Scale == 0 {
-			continue
-		}
-		live = append(live, t)
-	}
-	rowsCols := make([][]int32, n)
-	rowsVals := make([][]float64, n)
-	parallelRowBlocksScratch(n, func(s *rowScratch, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			s.reset()
-			for _, t := range live {
-				cols, vals := t.M.Row(i)
-				for k, j := range cols {
-					s.add(j, t.Scale*vals[k])
-				}
-			}
-			rowsCols[i], rowsVals[i] = s.collect(true)
-		}
-	})
-	return assemble(n, rowsCols, rowsVals), nil
-}
-
 // Mul returns c · other as a new CSR. Output rows are computed
 // independently across the worker pool; for each output entry the
 // contributions accumulate in ascending k (inner index) order, exactly as
@@ -321,7 +279,7 @@ func (c *CSR) Mul(other *CSR) (*CSR, error) {
 				nnz += uint64(len(ocols))
 			}
 			rows++
-			rowsCols[i], rowsVals[i] = s.collect(false)
+			rowsCols[i], rowsVals[i] = s.collect()
 		}
 		ko.rows.Add(rows)
 		ko.nnz.Add(nnz)
@@ -365,22 +323,39 @@ func (c *CSR) Pow(k int) (*CSR, error) {
 	return result, nil
 }
 
-// RowVecPow returns eᵢᵀ · c^k: row i of the k-th power computed with k
-// sparse row-vector products, as Matrix.RowVecPow. Contributions to each
-// output entry accumulate in ascending intermediate-index order, so the
-// result is bit-identical to the map path.
+// RowVecPow returns eᵢᵀ · c^k as a map: the map form of RowVecPowRow
+// for callers that index the row by peer.
 func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
+	cols, vals, err := c.RowVecPowRow(i, k)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[int]float64, len(cols))
+	for a, j := range cols {
+		out[int(j)] = vals[a]
+	}
+	return out, nil
+}
+
+// RowVecPowRow returns eᵢᵀ · c^k: row i of the k-th power computed with
+// k sparse row-vector products, as Matrix.RowVecPow, columns ascending.
+// Contributions to each output entry accumulate in ascending
+// intermediate-index order, so the result is bit-identical to the map
+// path. At k = 1 the result is row i itself: the slices alias c's
+// storage and callers must treat them as read-only. Beyond k = 1 they
+// are fresh.
+func (c *CSR) RowVecPowRow(i, k int) ([]int32, []float64, error) {
 	if k < 1 {
-		return nil, fmt.Errorf("sparse: RowVecPow needs k >= 1, got %d", k)
+		return nil, nil, fmt.Errorf("sparse: RowVecPow needs k >= 1, got %d", k)
 	}
 	if i < 0 || i >= c.n {
-		return nil, fmt.Errorf("sparse: row %d out of range [0, %d)", i, c.n)
+		return nil, nil, fmt.Errorf("sparse: row %d out of range [0, %d)", i, c.n)
+	}
+	cols, vals := c.Row(i)
+	if k == 1 {
+		return cols, vals, nil
 	}
 	ko := kobs.Load()
-	curCols, curVals := c.Row(i)
-	// Copy: later steps reuse the scratch buffers.
-	cols := append([]int32(nil), curCols...)
-	vals := append([]float64(nil), curVals...)
 	s := newRowScratch(c.n)
 	for step := 1; step < k; step++ {
 		sp := obs.Timed(ko.clock, ko.step)
@@ -397,16 +372,12 @@ func (c *CSR) RowVecPow(i, k int) (map[int]float64, error) {
 			}
 			nnz += uint64(len(mcols))
 		}
-		cols, vals = s.collect(false)
+		cols, vals = s.collect()
 		ko.rows.Inc()
 		ko.nnz.Add(nnz)
 		sp.End()
 	}
-	out := make(map[int]float64, len(cols))
-	for a, j := range cols {
-		out[int(j)] = vals[a]
-	}
-	return out, nil
+	return cols, vals, nil
 }
 
 // MulVec returns c · x (treating x as a column vector).
@@ -597,14 +568,20 @@ func (s *rowScratch) add(j int32, v float64) {
 }
 
 // collect returns the touched entries in ascending column order as fresh
-// slices. dropZero omits entries whose accumulated value is exactly zero
-// (WeightedSum semantics); Mul keeps them, as the map path does.
+// slices, exact zeros kept, as the map path's Mul keeps them.
 //
 //mdrep:hotpath
-func (s *rowScratch) collect(dropZero bool) ([]int32, []float64) {
+func (s *rowScratch) collect() ([]int32, []float64) {
+	return s.collectTo(make([]int32, 0, len(s.touched)), make([]float64, 0, len(s.touched)), false)
+}
+
+// collectTo appends the touched entries in ascending column order to
+// cols and vals. dropZero omits entries whose accumulated value is
+// exactly zero (RowSet.PatchWeightedSum semantics).
+//
+//mdrep:hotpath
+func (s *rowScratch) collectTo(cols []int32, vals []float64, dropZero bool) ([]int32, []float64) {
 	slices.Sort(s.touched) // closure-free; sort.Slice would box its less func
-	cols := make([]int32, 0, len(s.touched))
-	vals := make([]float64, 0, len(s.touched))
 	for _, j := range s.touched {
 		v := s.acc[j]
 		if dropZero && v == 0 {

@@ -88,35 +88,6 @@ func TestFreezeNormalizedMatchesMapNormalize(t *testing.T) {
 	}
 }
 
-func TestWeightedSumMatchesAddScaled(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 20; trial++ {
-		n := 1 + rng.Intn(40)
-		a := randomMatrix(rng, n, 2).RowNormalize()
-		b := randomMatrix(rng, n, 2).RowNormalize()
-		c := randomMatrix(rng, n, 2).RowNormalize()
-		weights := [3]float64{rng.Float64(), rng.Float64(), 0.2}
-		if trial%3 == 0 {
-			weights[1] = 0 // zero-weight terms must be skipped entirely
-		}
-		ref := New(n)
-		for k, m := range []*Matrix{a, b, c} {
-			if err := ref.AddScaled(weights[k], m); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := WeightedSum(n, []Weighted{
-			{weights[0], a.Freeze()},
-			{weights[1], b.Freeze()},
-			{weights[2], c.Freeze()},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustEqualEntries(t, "WeightedSum", ref.Entries(), got.Entries())
-	}
-}
-
 func TestCSRMulMatchesMap(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 15; trial++ {
@@ -249,12 +220,6 @@ func TestCSRErrors(t *testing.T) {
 	}
 	if _, err := c.MulVec(make([]float64, 3)); err == nil {
 		t.Fatal("MulVec length mismatch accepted")
-	}
-	if _, err := WeightedSum(2, []Weighted{{1, other}}); err == nil {
-		t.Fatal("WeightedSum dimension mismatch accepted")
-	}
-	if _, err := WeightedSum(2, []Weighted{{1, nil}}); err == nil {
-		t.Fatal("WeightedSum nil matrix accepted")
 	}
 }
 
